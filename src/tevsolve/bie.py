@@ -28,6 +28,7 @@ invertible); an LU pivot failure there raises InteriorResonance.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from functools import lru_cache
@@ -42,7 +43,7 @@ from .special import bessel_j, hankel1
 
 EULER_GAMMA = 0.57721566490153286061
 MIN_NODES = 16
-_CACHE_BYTES_DEFAULT = 192 * 1024 * 1024
+CACHE_BYTES = 192 * 1024 * 1024  # trace-ratio cache budget of one HelmholtzNep and its copies
 
 
 @lru_cache(maxsize=32)
@@ -160,23 +161,48 @@ def assemble_M(sample: CurveSample, k: complex, p: MaterialParams) -> np.ndarray
     return p.lam * P_w - P_v - p.eta * np.eye(sample.n)
 
 
+class _TraceRatioCache:
+    """Trace-ratio matrices P(k) of one curve sample by wavenumber, least
+    recently used first out once they hold more than CACHE_BYTES; one lock
+    guards the map and its byte count."""
+
+    def __init__(self, sample: CurveSample):
+        self.sample = sample
+        self.entries: OrderedDict[complex, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, k: complex) -> np.ndarray:
+        with self.lock:
+            hit = self.entries.get(k)
+            if hit is not None:
+                self.entries.move_to_end(k)
+                return hit
+        value = _trace_ratio(self.sample, k)
+        with self.lock:
+            if k not in self.entries:
+                self.entries[k] = value
+                self.nbytes += value.nbytes
+                while self.nbytes > CACHE_BYTES and len(self.entries) > 1:
+                    _, old = self.entries.popitem(last=False)
+                    self.nbytes -= old.nbytes
+        return value
+
+
 class HelmholtzNep:
     """Callable z -> M(z) for a fixed curve sample and material parameters.
 
     Caches the trace-ratio matrices P(k) per wavenumber (the dominant cost:
     two assemblies plus an LU), so sweeps that revisit the same contour nodes
     with different (lam, eta) or with a second sqrt(n) factor reuse them.  The
-    cache is bounded by a byte budget and safe for concurrent callers.
+    copies made by with_params share one cache, bounded by CACHE_BYTES in all
+    and safe for concurrent callers.
     """
 
-    def __init__(self, sample: CurveSample, params: MaterialParams,
-                 cache_bytes: int = _CACHE_BYTES_DEFAULT):
+    def __init__(self, sample: CurveSample, params: MaterialParams):
         self.sample = sample
         self.params = params
-        self._cache: OrderedDict[complex, np.ndarray] = OrderedDict()
-        self._cache_bytes = 0
-        self._max_bytes = int(cache_bytes)
-        self._lock = threading.Lock()
+        self._cache = _TraceRatioCache(sample)
 
     @property
     def dim(self) -> int:
@@ -184,34 +210,13 @@ class HelmholtzNep:
 
     def with_params(self, params: MaterialParams) -> "HelmholtzNep":
         """Same curve and cache, different material parameters."""
-        other = HelmholtzNep.__new__(HelmholtzNep)
-        other.sample = self.sample
+        other = copy.copy(self)
         other.params = params
-        other._cache = self._cache
-        other._cache_bytes = self._cache_bytes
-        other._max_bytes = self._max_bytes
-        other._lock = self._lock
         return other
-
-    def _trace_ratio_cached(self, k: complex) -> np.ndarray:
-        with self._lock:
-            hit = self._cache.get(k)
-            if hit is not None:
-                self._cache.move_to_end(k)
-                return hit
-        value = _trace_ratio(self.sample, k)
-        with self._lock:
-            if k not in self._cache:
-                self._cache[k] = value
-                self._cache_bytes += value.nbytes
-                while self._cache_bytes > self._max_bytes and len(self._cache) > 1:
-                    _, old = self._cache.popitem(last=False)
-                    self._cache_bytes -= old.nbytes
-        return value
 
     def __call__(self, z: complex) -> np.ndarray:
         z = _check_wavenumber(z)
         p = self.params
-        P_w = self._trace_ratio_cached(z * p.sqrt_n)
-        P_v = self._trace_ratio_cached(z)
+        P_w = self._cache.get(z * p.sqrt_n)
+        P_v = self._cache.get(z)
         return p.lam * P_w - P_v - p.eta * np.eye(self.dim)

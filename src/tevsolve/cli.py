@@ -13,15 +13,14 @@ Flags override config keys.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 
-from .beyn import BeynConfig, ContourSpec
 from .errors import ConfigError, NumericalError, TevError
-from .materials import MaterialParams
 from .studies import (
+    COMMANDS,
+    CONFIG_KEYS,
     StudyConfig,
     config_from_dict,
     converge_table,
@@ -33,8 +32,8 @@ from .studies import (
     run_spectrum,
     spectrum_table,
     sweep_table,
+    write_flag,
     write_table,
-    _parse_mu,
 )
 
 EXIT_OK = 0
@@ -49,142 +48,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interior transmission eigenvalues with two conductive boundary parameters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, text in zip(COMMANDS, (
+        "compute the eigenvalue list",
+        "|d_m| lattice over a complex rectangle",
+        "lambda -> 1 convergence/EOC study",
+        "monotonicity sweep over n, eta, or lambda",
+    )):
+        sp = sub.add_parser(command, help=text)
         sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--shape", help="circle:r=1 | ellipse:a=1,b=1.2 | kite")
-        sp.add_argument("--n", type=float, help="refractive index")
-        sp.add_argument("--eta", type=float, help="first conductivity parameter")
-        sp.add_argument("--lambda", dest="lam", type=float, help="second conductivity parameter")
-        sp.add_argument("--method", choices=("determinant", "bie"))
-        sp.add_argument("--nodes", type=int, help="boundary quadrature nodes (bie)")
-        sp.add_argument("--mu", help="comma list of contour centers, e.g. 0.5,1.5 or 2.2+0.6i")
-        sp.add_argument("--radius", type=float, help="contour radius (default 0.5)")
-        sp.add_argument("--quad-points", type=int, help="contour quadrature nodes (default 24)")
-        sp.add_argument("--m-max", type=int, help="largest angular mode (determinant)")
-        sp.add_argument("--k-range", help="real scan window, e.g. 0.01,10 (determinant)")
-        sp.add_argument("--out", help="output file path")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        sp.add_argument("--jobs", type=int, help="worker threads (default: hardware)")
+        for key in CONFIG_KEYS:
+            if key.flag and command in key.commands:
+                sp.add_argument(key.flag, dest=key.path, type=_split if key.comma else None,
+                                choices=key.choices, help=key.help,
+                                metavar=None if key.choices else key.name.upper())
         sp.add_argument("-q", "--quiet", action="store_true", help="suppress the stdout table")
-
-    sp = sub.add_parser("spectrum", help="compute the eigenvalue list")
-    common(sp)
-    sp.add_argument("--complex-region", help="re0,re1,im0,im1 complex search window (determinant)")
-    sp = sub.add_parser("grid", help="|d_m| lattice over a complex rectangle")
-    common(sp)
-    sp.add_argument("--region", help="re0,re1,im0,im1 (default 0,10,-1,1)")
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--ny", type=int)
-    sp.add_argument("--m", type=int, help="angular mode of the grid determinant")
-    sp = sub.add_parser("converge", help="lambda -> 1 convergence/EOC study")
-    common(sp)
-    sp.add_argument("--side", choices=("below", "above"))
-    sp.add_argument("--pmax", type=int)
-    sp = sub.add_parser("sweep", help="monotonicity sweep over n, eta, or lambda")
-    common(sp)
-    sp.add_argument("--sweep-field", choices=("n", "eta", "lambda"))
-    sp.add_argument("--sweep-values", help="comma list of swept values")
     sub.add_parser("selftest", help="run the built-in oracle suites")
     return parser
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
-
-
-def _apply_overrides(cfg: StudyConfig, args: argparse.Namespace) -> StudyConfig:
-    updates = {}
-    if args.shape:
-        updates["shape"] = args.shape
-    mat = {"n": cfg.material.n, "eta": cfg.material.eta, "lam": cfg.material.lam}
-    mat_changed = False
-    for key in ("n", "eta", "lam"):
-        val = getattr(args, key, None)
-        if val is not None:
-            mat[key] = val
-            mat_changed = True
-    if mat_changed:
-        updates["material"] = MaterialParams(**mat)
-    if args.method:
-        updates["method"] = args.method
-    det = cfg.determinant
-    if getattr(args, "m_max", None) is not None:
-        det = dataclasses.replace(det, m_max=args.m_max)
-    if getattr(args, "k_range", None):
-        lo, hi = _floats(args.k_range)
-        det = dataclasses.replace(det, k_range=(lo, hi))
-    if getattr(args, "complex_region", None):
-        det = dataclasses.replace(det, complex_region=_floats(args.complex_region))
-    if det is not cfg.determinant:
-        updates["determinant"] = det
-    bie = cfg.bie
-    if args.nodes is not None:
-        bie = dataclasses.replace(bie, nodes=args.nodes)
-    if args.mu:
-        radius = args.radius if args.radius is not None else 0.5
-        quad = args.quad_points if getattr(args, "quad_points", None) else 24
-        contours = tuple(
-            ContourSpec(_parse_mu(v.strip()), radius, quad) for v in args.mu.split(",") if v.strip()
-        )
-        bie = dataclasses.replace(bie, contours=contours)
-    elif args.radius is not None or getattr(args, "quad_points", None):
-        contours = tuple(
-            ContourSpec(
-                c.center,
-                args.radius if args.radius is not None else c.radius,
-                args.quad_points if getattr(args, "quad_points", None) else c.quad_points,
-            )
-            for c in bie.contours
-        )
-        bie = dataclasses.replace(bie, contours=contours)
-    if bie is not cfg.bie:
-        updates["bie"] = bie
-    if getattr(args, "side", None):
-        updates["converge_side"] = args.side
-    if getattr(args, "pmax", None) is not None:
-        updates["converge_p_max"] = args.pmax
-    if getattr(args, "sweep_field", None):
-        updates["sweep_field"] = args.sweep_field
-    if getattr(args, "sweep_values", None):
-        updates["sweep_values"] = _floats(args.sweep_values)
-    grid_updates = {}
-    if getattr(args, "region", None):
-        region = _floats(args.region)
-        if len(region) != 4:
-            raise ConfigError("--region needs four numbers re0,re1,im0,im1")
-        grid_updates["grid_region"] = region
-    if getattr(args, "nx", None) is not None:
-        ny = args.ny if getattr(args, "ny", None) is not None else args.nx
-        grid_updates["grid_shape"] = (args.nx, ny)
-    if getattr(args, "m", None) is not None:
-        grid_updates["grid_m"] = args.m
-    updates.update(grid_updates)
-    if args.out:
-        updates["out"] = args.out
-    if args.fmt:
-        updates["fmt"] = args.fmt
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _split(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
 
 
 def _load_config(args: argparse.Namespace) -> StudyConfig:
+    """The config file's document with the given flags written into it."""
+    doc = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        cfg = config_from_dict(data)
-    else:
-        cfg = StudyConfig()
-    return _apply_overrides(cfg, args)
+    flags = vars(args)
+    for key in CONFIG_KEYS:
+        if flags.get(key.path) is not None:
+            write_flag(doc, key, flags[key.path])
+    return config_from_dict(doc)
 
 
 def _run_selftest() -> int:

@@ -62,12 +62,12 @@ class CapacityExceeded(NumericalError):
 
 
 class TrackingLost(NumericalError):
-    """Eigenvalue branch continuation lost a branch between consecutive steps."""
+    """A study window held fewer eigenvalues than the branches it tracks."""
 
-    def __init__(self, branch: int, step, distance: float):
-        self.branch = branch
-        self.step = step
-        self.distance = distance
+    def __init__(self, lam: float, found: int, needed: int):
+        self.lam = lam
+        self.found = found
+        self.needed = needed
         super().__init__(
-            f"branch {branch} lost at step {step}: nearest eigenvalue {distance:.3g} away"
+            f"the window at lambda = {lam:g} holds {found} eigenvalues; {needed} are needed"
         )

@@ -6,17 +6,10 @@ detection with the failing pivot index, convergence failures) and keep results
 deterministic for a fixed input.  Matrices here are dense and at most a few
 hundred rows, so multithreaded BLAS buys nothing; parallelism lives at the
 task level (contour nodes, sweep points).
-
-When scipy ships its own OpenBLAS separate from numpy's, the two thread pools
-busy-wait against each other after every factorization (tens of milliseconds
-per call on small machines).  At import this module pins the scipy-private
-pool to one thread, which removes the contention and makes the factorization
-path deterministic; set TEVSOLVE_NO_BLAS_PIN=1 to opt out.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 
 import numpy as np
@@ -26,23 +19,6 @@ from .errors import NumericalFailure, SingularMatrix
 
 PIVOT_RTOL = 1.0e-14
 EIG_MAX_SIZE = 64
-
-
-def _pin_scipy_blas() -> None:
-    if os.environ.get("TEVSOLVE_NO_BLAS_PIN"):
-        return
-    try:
-        from threadpoolctl import ThreadpoolController
-
-        ctl = ThreadpoolController()
-        scipy_libs = [i["filepath"] for i in ctl.info() if "scipy.libs" in i["filepath"]]
-        if scipy_libs:
-            ctl.select(filepath=scipy_libs).limit(limits=1)
-    except Exception:  # best effort; plain environments need no pinning
-        pass
-
-
-_pin_scipy_blas()
 
 
 def _as_square(A) -> np.ndarray:

@@ -22,12 +22,13 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .beyn import BeynConfig, ContourSpec, NepEigenvalue, beyn_solve
+from .beyn import BeynConfig, ContourSpec, NepEigenvalue, _map, beyn_solve
 from .bie import HelmholtzNep
 from .disk import (
     DEFAULT_K_MIN,
@@ -123,91 +124,206 @@ class StudyConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
+# ---------------------------------------------------------------------------
+# configuration schema: one table for the JSON document and the flags
+# ---------------------------------------------------------------------------
+COMMANDS = ("spectrum", "grid", "converge", "sweep")
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One configuration key: its JSON path, value parser and flag.
+
+    ``path`` is dotted, and ``[]`` marks the items of a JSON list.  ``parse``
+    turns the JSON value into keyword ``arg`` (default: the key's name) of
+    the object its section builds; ValueError or TypeError reject the value.
+    The flag belongs to ``commands``, and a ``comma`` flag takes a list.  A
+    key absent from its section takes the value of the sibling it ``follows``.
+    """
+
+    path: str
+    parse: Callable
+    flag: str | None = None
+    help: str | None = None
+    arg: str | None = None
+    commands: tuple[str, ...] = COMMANDS
+    choices: tuple[str, ...] | None = None
+    comma: bool = False
+    required: bool = False
+    alias: str | None = None
+    follows: str | None = None
+
+    @property
+    def section(self) -> str:
+        return self.path.rpartition(".")[0]
+
+    @property
+    def name(self) -> str:
+        return self.path.rpartition(".")[2]
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _numbers(count: int | None = None, kind=float):
+    def parse(value) -> tuple:
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise ValueError(f"expected a list of {count or 'some'} numbers")
+        return tuple(kind(v) for v in value)
+    return parse
+
+
+def _or_none(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _section(path: str, build=dict) -> ConfigKey:
+    """A JSON object read through the keys below it; a dict merges into its parent."""
+    return ConfigKey(path, lambda obj: build(**_read(obj, path)))
+
+
+def _list(path: str, build) -> ConfigKey:
+    """A JSON list of objects, each read through the keys below path[]."""
+    def parse(items) -> tuple:
+        if not isinstance(items, list):
+            raise TypeError("expected a list")
+        return tuple(build(**_read(item, path + "[]")) for item in items)
+    return ConfigKey(path, parse)
+
+
+def _grid(nx=None, ny=None, **kwargs) -> dict:
+    if nx is not None or ny is not None:
+        default_nx, default_ny = StudyConfig.grid_shape
+        kwargs["grid_shape"] = (default_nx if nx is None else nx, default_ny if ny is None else ny)
+    return kwargs
+
+
+CONFIG_KEYS = (
+    ConfigKey("shape", _text, "--shape", "circle:r=1 | ellipse:a=1,b=1.2 | kite"),
+    _section("material", MaterialParams),
+    ConfigKey("material.n", float, "--n", "refractive index", required=True),
+    ConfigKey("material.eta", float, "--eta", "first conductivity parameter", required=True),
+    ConfigKey("material.lambda", float, "--lambda", "second conductivity parameter",
+              arg="lam", required=True, alias="lam"),
+    ConfigKey("method", _text, "--method", choices=("determinant", "bie")),
+    _section("determinant", DeterminantSettings),
+    ConfigKey("determinant.m_max", int, "--m-max", "largest angular mode (determinant)"),
+    ConfigKey("determinant.k_range", _numbers(2), "--k-range",
+              "real scan window, e.g. 0.01,10 (determinant)", comma=True),
+    ConfigKey("determinant.tol", float),
+    ConfigKey("determinant.complex_region", _or_none(_numbers(4)), "--complex-region",
+              "re0,re1,im0,im1 complex search window (determinant)", commands=("spectrum",),
+              comma=True),
+    ConfigKey("determinant.complex_grid", _numbers(2, int)),
+    _section("bie", BieSettings),
+    ConfigKey("bie.nodes", int, "--nodes", "boundary quadrature nodes (bie)"),
+    _list("bie.contours", partial(ContourSpec, radius=0.5)),
+    ConfigKey("bie.contours[].mu", _parse_mu, "--mu",
+              "comma list of contour centers, e.g. 0.5,1.5 or 2.2+0.6i", arg="center",
+              comma=True, required=True, alias="center"),
+    ConfigKey("bie.contours[].radius", float, "--radius", "contour radius (default 0.5)"),
+    ConfigKey("bie.contours[].quad_points", int, "--quad-points",
+              "contour quadrature nodes (default 24)"),
+    _section("bie.beyn", BeynConfig),
+    ConfigKey("bie.beyn.probe_columns", int),
+    ConfigKey("bie.beyn.rank_tol", float),
+    ConfigKey("bie.beyn.residual_tol", float),
+    ConfigKey("bie.beyn.seed", int),
+    _section("converge"),
+    ConfigKey("converge.side", _text, "--side", arg="converge_side", commands=("converge",),
+              choices=("below", "above")),
+    ConfigKey("converge.p_max", int, "--pmax", arg="converge_p_max", commands=("converge",)),
+    _section("sweep"),
+    ConfigKey("sweep.field", _text, "--sweep-field", arg="sweep_field", commands=("sweep",),
+              choices=("n", "eta", "lambda"), required=True),
+    ConfigKey("sweep.values", _numbers(), "--sweep-values", "comma list of swept values",
+              arg="sweep_values", commands=("sweep",), comma=True),
+    _section("grid", _grid),
+    ConfigKey("grid.region", _numbers(4), "--region", "re0,re1,im0,im1 (default 0,10,-1,1)",
+              arg="grid_region", commands=("grid",), comma=True),
+    ConfigKey("grid.nx", int, "--nx", commands=("grid",)),
+    ConfigKey("grid.ny", int, "--ny", commands=("grid",), follows="nx"),
+    ConfigKey("grid.m", int, "--m", "angular mode of the grid determinant", arg="grid_m",
+              commands=("grid",)),
+    ConfigKey("out", _or_none(_text), "--out", "output file path"),
+    ConfigKey("format", _text, "--format", arg="fmt", choices=("csv", "json")),
+    ConfigKey("jobs", int, "--jobs", "worker threads (default: hardware)"),
+)
+
+
 def config_from_dict(data: dict) -> StudyConfig:
-    """Build a StudyConfig from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    data = dict(data)
+    """Build a StudyConfig from a parsed JSON document through CONFIG_KEYS.
+
+    Unknown keys at any depth, missing required keys and values that do not
+    parse raise ConfigError.
+    """
+    return StudyConfig(**_read(data, ""))
+
+
+def _expect_object(node, section: str) -> None:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{section or 'config document'} must be a JSON object")
+
+
+def _read(obj, section: str) -> dict:
+    """Keyword arguments of the object that one section of the document builds."""
+    _expect_object(obj, section)
+    keys = [k for k in CONFIG_KEYS if k.section == section]
+    unknown = sorted(set(obj) - {n for k in keys for n in (k.name, k.alias)})
+    if unknown:
+        raise ConfigError(f"unknown config keys in {section or 'config document'}: {unknown}")
     kwargs = {}
-    if "shape" in data:
-        kwargs["shape"] = str(data.pop("shape"))
-    mat = data.pop("material", None)
-    if mat is not None:
-        lam = mat.get("lambda", mat.get("lam"))
-        if lam is None or "n" not in mat or "eta" not in mat:
-            raise ConfigError("material requires n, eta, and lambda")
-        kwargs["material"] = MaterialParams(n=float(mat["n"]), eta=float(mat["eta"]), lam=float(lam))
-    if "method" in data:
-        kwargs["method"] = str(data.pop("method"))
-    det = data.pop("determinant", None)
-    if det is not None:
-        dkw = {}
-        if "m_max" in det:
-            dkw["m_max"] = int(det["m_max"])
-        if "k_range" in det:
-            dkw["k_range"] = (float(det["k_range"][0]), float(det["k_range"][1]))
-        if "tol" in det:
-            dkw["tol"] = float(det["tol"])
-        if det.get("complex_region") is not None:
-            dkw["complex_region"] = tuple(float(v) for v in det["complex_region"])
-        if "complex_grid" in det:
-            dkw["complex_grid"] = (int(det["complex_grid"][0]), int(det["complex_grid"][1]))
-        kwargs["determinant"] = DeterminantSettings(**dkw)
-    bie = data.pop("bie", None)
-    if bie is not None:
-        bkw = {}
-        if "nodes" in bie:
-            bkw["nodes"] = int(bie["nodes"])
-        if "contours" in bie:
-            bkw["contours"] = tuple(
-                ContourSpec(
-                    center=_parse_mu(c.get("mu", c.get("center"))),
-                    radius=float(c.get("radius", 0.5)),
-                    quad_points=int(c.get("quad_points", 24)),
-                )
-                for c in bie["contours"]
-            )
-        beyn_d = bie.get("beyn")
-        if beyn_d is not None:
-            bkw["beyn"] = BeynConfig(
-                probe_columns=int(beyn_d.get("probe_columns", 20)),
-                rank_tol=float(beyn_d.get("rank_tol", 1.0e-4)),
-                residual_tol=float(beyn_d.get("residual_tol", 1.0e-4)),
-                seed=int(beyn_d.get("seed", 0)),
-            )
-        kwargs["bie"] = BieSettings(**bkw)
-    conv = data.pop("converge", None)
-    if conv is not None:
-        if "side" in conv:
-            kwargs["converge_side"] = str(conv["side"])
-        if "p_max" in conv:
-            kwargs["converge_p_max"] = int(conv["p_max"])
-    sweep = data.pop("sweep", None)
-    if sweep is not None:
-        kwargs["sweep_field"] = str(sweep.get("field"))
-        kwargs["sweep_values"] = tuple(float(v) for v in sweep.get("values", ()))
-    grid = data.pop("grid", None)
-    if grid is not None:
-        if "region" in grid:
-            kwargs["grid_region"] = tuple(float(v) for v in grid["region"])
-        if "nx" in grid:
-            kwargs["grid_shape"] = (int(grid["nx"]), int(grid.get("ny", grid["nx"])))
-        if "m" in grid:
-            kwargs["grid_m"] = int(grid["m"])
-    if "out" in data:
-        kwargs["out"] = data.pop("out")
-    if "format" in data:
-        kwargs["fmt"] = str(data.pop("format"))
-    if "jobs" in data:
-        kwargs["jobs"] = int(data.pop("jobs"))
-    for key in ("shape", "method"):
-        data.pop(key, None)
-    if data:
-        raise ConfigError(f"unknown config keys: {sorted(data)}")
-    try:
-        return StudyConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key in keys:
+        name = next((n for n in (key.name, key.alias, key.follows) if n in obj), None)
+        if name is None:
+            if key.required:
+                raise ConfigError(f"missing key {key.path}")
+            continue
+        try:
+            value = key.parse(obj[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key.path}: cannot parse {obj[name]!r}: {exc}") from exc
+        if isinstance(value, dict):
+            kwargs.update(value)
+        else:
+            kwargs[key.arg or key.name] = value
+    return kwargs
+
+
+def write_flag(doc: dict, key: ConfigKey, value) -> None:
+    """Write a flag's value into a config document at its key's path.
+
+    A flag on a list-item key sets it in every item of the list, but a comma
+    flag replaces the list with one item per value.  A section the document
+    lacks starts from the defaults of its required keys: a lone --n keeps the
+    default eta and lambda.  Keys that follow the written key are dropped.
+    """
+    node, section = doc, ""
+    for part in key.section.split(".") if key.section else ():
+        _expect_object(node, section)
+        section = f"{section}.{part}".lstrip(".")
+        if part.endswith("[]"):
+            items = node.get(part[:-2])
+            if key.comma:
+                node[part[:-2]] = [{key.name: v} for v in value]
+            elif isinstance(items, list):
+                for item in items:
+                    if isinstance(item, dict):
+                        item[key.name] = value
+            return
+        if part not in node:
+            default = getattr(StudyConfig(), part, None)
+            node[part] = {k.name: getattr(default, k.arg or k.name) for k in CONFIG_KEYS
+                          if k.section == section and k.required and default is not None}
+        node = node[part]
+    _expect_object(node, section)
+    node[key.name] = value
+    for other in CONFIG_KEYS:
+        if other.section == key.section and other.follows == key.name:
+            node.pop(other.name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +508,7 @@ def run_convergence_study(cfg: StudyConfig, side: str | None = None,
 
     limit_vals = eigs_at(1.0)
     if len(limit_vals) < 3:
-        raise TrackingLost(len(limit_vals), 0, math.inf)
+        raise TrackingLost(1.0, len(limit_vals), 3)
     limits = tuple(limit_vals[:3])
 
     rows: list[EocRow] = []
@@ -402,7 +518,7 @@ def run_convergence_study(cfg: StudyConfig, side: str | None = None,
         lam = lambda_at(side, p)
         values = eigs_at(lam)
         if len(values) < 3:
-            raise TrackingLost(len(values), p, math.inf)
+            raise TrackingLost(lam, len(values), 3)
         ranked = values[:3]
         note = ""
         if previous is not None:
@@ -475,12 +591,8 @@ def run_monotonicity_sweep(cfg: StudyConfig) -> SweepResult:
         vals = _eigenvalues_for_params(cfg, params, nep)
         return tuple(vals[j] if j < len(vals) else None for j in range(3))
 
-    if cfg.method == "determinant" and cfg.effective_jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.effective_jobs) as pool:
-            results = list(pool.map(solve_point, points))
-    else:
-        # BIE points run serially so each can use node-level parallelism
-        results = [solve_point(par) for par in points]
+    # BIE points run serially so each can use node-level parallelism
+    results = _map(solve_point, points, cfg.effective_jobs if cfg.method == "determinant" else 1)
 
     rows = tuple(SweepRow(v, ks) for v, ks in zip(cfg.sweep_values, results))
     verdicts = tuple(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from tevsolve import linalg
+from tevsolve import bie, linalg
 from tevsolve.bie import (
     HelmholtzNep,
     assemble_M,
@@ -149,6 +149,21 @@ class TestHelmholtzNep:
         nep = HelmholtzNep(s, EX34)
         z = 1.2 + 0.1j
         assert np.allclose(nep(z), assemble_M(s, z, EX34), atol=1e-13)
+
+    def test_cache_budget_shared_by_copies(self, monkeypatch):
+        s = sample(parse_shape("circle:r=1"), 32)
+        nep = HelmholtzNep(s, EX34)
+        other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
+        other(1.5)
+        nep(1.7)
+        cache = nep._cache
+        assert len(cache.entries) == 4
+        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
+        # the budget holds across copies: three matrices fit, the oldest goes
+        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
+        other(1.9)
+        assert len(cache.entries) == 3
+        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
 
     def test_cache_shared_across_parameters(self):
         s = sample(parse_shape("circle:r=1"), 64)

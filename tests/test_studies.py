@@ -4,14 +4,17 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tevsolve.beyn import BeynConfig, ContourSpec
+from tevsolve.cli import _build_parser
 from tevsolve.errors import ConfigError, TrackingLost
 from tevsolve.materials import MaterialParams
 from tevsolve.studies import (
+    CONFIG_KEYS,
     BieSettings,
     DeterminantSettings,
     StudyConfig,
@@ -27,6 +30,7 @@ from tevsolve.studies import (
     run_spectrum,
     spectrum_table,
     sweep_table,
+    write_flag,
     write_table,
     _bie_eigenvalues,
 )
@@ -87,7 +91,7 @@ class TestConvergenceStudy:
 
     def test_tracking_lost_when_window_too_small(self):
         cfg = disk_cfg(determinant=DeterminantSettings(m_max=2, k_range=(0.6, 0.8)))
-        with pytest.raises(TrackingLost):
+        with pytest.raises(TrackingLost, match="lambda = 1 holds 0 eigenvalues; 3 are needed"):
             run_convergence_study(cfg, side="below", p_max=2)
 
 
@@ -257,16 +261,102 @@ class TestConfig:
         assert cfg.material.lam == 2.0
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"shaep": "kite"})
+        for doc in ({"shaep": "kite"}, {"bie": {"node": 64}, "determinant": {"mmax": 1}},
+                    {"bie": {"beyn": {"seeed": 1}}}, {"grid": {"nz": 3}}):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                config_from_dict(doc)
 
     def test_determinant_requires_disk(self):
         with pytest.raises(ConfigError):
             StudyConfig(shape="kite", method="determinant")
 
     def test_material_requires_all_fields(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"material": {"n": 4, "eta": 1}})
+        for doc in ({"material": {"n": 4, "eta": 1}}, {"material": [4, 1, 1]}):
+            with pytest.raises(ConfigError):
+                config_from_dict(doc)
+
+    def test_bad_values_rejected(self):
+        for doc in ({"determinant": {"m_max": "abc"}}, {"grid": {"region": [0, 1]}},
+                    {"determinant": {"k_range": 3}}, {"bie": {"contours": [{"radius": 1}]}},
+                    {"bie": {"contours": {"mu": 1}}}, {"shape": 1}, [{"shape": "kite"}]):
+            with pytest.raises(ConfigError):
+                config_from_dict(doc)
+
+    def test_missing_sweep_field_named(self):
+        with pytest.raises(ConfigError, match="missing key sweep.field"):
+            config_from_dict({"sweep": {"values": [1, 2]}})
+
+    def test_aliases_and_defaults(self):
+        cfg = config_from_dict({
+            "material": {"n": 4, "eta": 1, "lam": 0.5},
+            "bie": {"contours": [{"center": [2.2, 0.6]}]},
+            "grid": {"nx": 30},
+        })
+        assert cfg.material.lam == 0.5
+        assert cfg.bie.contours == (ContourSpec(2.2 + 0.6j, 0.5, 24),)
+        assert cfg.grid_shape == (30, 30)
+        assert config_from_dict({"grid": {"nx": 30, "ny": 20}}).grid_shape == (30, 20)
+
+
+def load_with_flags(doc, *argv):
+    """The StudyConfig the command line builds from doc and the flags argv."""
+    args = vars(_build_parser().parse_args(argv))
+    doc = json.loads(json.dumps(doc))
+    for key in CONFIG_KEYS:
+        if args.get(key.path) is not None:
+            write_flag(doc, key, args[key.path])
+    return config_from_dict(doc)
+
+
+class TestFlags:
+    BIE = {"method": "bie", "shape": "kite", "bie": {"contours": [{"mu": 1.0, "radius": 0.3,
+                                                                    "quad_points": 32}]}}
+
+    def test_flag_scopes(self):
+        common = {"--shape", "--n", "--eta", "--lambda", "--method", "--nodes", "--mu",
+                  "--radius", "--quad-points", "--m-max", "--k-range", "--out", "--format",
+                  "--jobs"}
+        own = {"spectrum": {"--complex-region"}, "grid": {"--region", "--nx", "--ny", "--m"},
+               "converge": {"--side", "--pmax"}, "sweep": {"--sweep-field", "--sweep-values"}}
+        for command, flags in own.items():
+            assert {k.flag for k in CONFIG_KEYS if k.flag and command in k.commands} == (
+                common | flags)
+
+    def test_readme_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {line.split("`")[1]: line for line in readme.splitlines() if line.startswith("| `")}
+        sections = {k.section.removesuffix("[]") for k in CONFIG_KEYS}
+        for key in CONFIG_KEYS:
+            if key.path not in sections:
+                flag = key.flag and f"| `{key.flag}` |"
+                assert (flag or "| | |") in rows[key.path], key.path
+
+    def test_mu_takes_radius_and_quad_points(self):
+        cfg = load_with_flags(self.BIE, "spectrum", "--mu", "0.5,2+1i", "--quad-points", "40")
+        assert cfg.bie.contours == (ContourSpec(0.5, 0.5, 40), ContourSpec(2 + 1j, 0.5, 40))
+        cfg = load_with_flags({}, "spectrum", "--mu", "1.5", "--radius", "0.7")
+        assert cfg.bie.contours == (ContourSpec(1.5, 0.7, 24),)
+
+    def test_radius_without_mu_rewrites_contours(self):
+        cfg = load_with_flags(self.BIE, "spectrum", "--radius", "0.2")
+        assert cfg.bie.contours == (ContourSpec(1.0, 0.2, 32),)
+        assert load_with_flags({}, "spectrum", "--radius", "0.2").bie.contours == ()
+
+    def test_material_flag_fills_other_fields(self):
+        assert load_with_flags({}, "spectrum", "--n", "5").material == MaterialParams(5, -0.01, 2)
+        doc = {"material": {"n": 2, "eta": 0.5, "lam": 3}}
+        assert load_with_flags(doc, "spectrum", "--lambda", "7").material == MaterialParams(2, 0.5, 7)
+
+    def test_nx_without_ny_is_square(self):
+        doc = {"grid": {"nx": 10, "ny": 20}}
+        assert load_with_flags(doc, "grid", "--nx", "30").grid_shape == (30, 30)
+        assert load_with_flags(doc, "grid", "--nx", "30", "--ny", "5").grid_shape == (30, 5)
+        assert load_with_flags(doc, "grid").grid_shape == (10, 20)
+
+    def test_flags_scoped_to_subcommands(self):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["spectrum", "--nx", "3"])
+        assert load_with_flags({}, "converge", "--pmax", "4").converge_p_max == 4
 
 
 class TestCli:
@@ -308,6 +398,13 @@ class TestCli:
         bad.write_text('{"method": "magic"}')
         proc = self.run_cli("spectrum", "--config", str(bad))
         assert proc.returncode == 2
+        for doc in ({"determinant": {"m_max": "abc"}}, {"material": [4, 1, 1]},
+                    {"grid": {"region": [0, 1]}}):
+            bad.write_text(json.dumps(doc))
+            proc = self.run_cli("spectrum", "--config", str(bad))
+            assert proc.returncode == 2, (doc, proc.stderr)
+        proc = self.run_cli("spectrum", "--k-range", "3")
+        assert proc.returncode == 2, proc.stderr
 
     def test_numerical_failure_exit_code(self):
         proc = self.run_cli(
