@@ -16,39 +16,10 @@ convergence orders, monotonicity sweeps, determinant grids) behind the
 ``tevsolve`` command line.
 """
 
-from .beyn import BeynConfig, ContourSpec, NepEigenvalue, beyn_solve, residual
-from .bie import (
-    HelmholtzNep,
-    assemble_M,
-    assemble_adjoint_double_layer,
-    assemble_single_layer,
-)
-from .disk import (
-    DiskEigenvalue,
-    circle_mode_symbol,
-    complex_roots,
-    determinant_grid,
-    disk_determinant,
-    real_roots,
-)
-from .errors import (
-    CapacityExceeded,
-    ConfigError,
-    GeometryError,
-    InteriorResonance,
-    NumericalError,
-    NumericalFailure,
-    PoleError,
-    RangeError,
-    SingularMatrix,
-    TevError,
-    TrackingLost,
-)
-from .geometry import BoundaryCurve, CurveSample, make_curve, parse_shape, sample
+from .errors import TevError
 from .materials import MaterialParams
 from .studies import (
     StudyConfig,
-    compute_eoc,
     config_from_dict,
     run_contour_grid,
     run_convergence_study,
@@ -59,44 +30,13 @@ from .studies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeynConfig",
-    "BoundaryCurve",
-    "CapacityExceeded",
-    "ConfigError",
-    "ContourSpec",
-    "CurveSample",
-    "DiskEigenvalue",
-    "GeometryError",
-    "HelmholtzNep",
-    "InteriorResonance",
     "MaterialParams",
-    "NepEigenvalue",
-    "NumericalError",
-    "NumericalFailure",
-    "PoleError",
-    "RangeError",
-    "SingularMatrix",
     "StudyConfig",
     "TevError",
-    "TrackingLost",
-    "assemble_M",
-    "assemble_adjoint_double_layer",
-    "assemble_single_layer",
-    "beyn_solve",
-    "circle_mode_symbol",
-    "complex_roots",
-    "compute_eoc",
     "config_from_dict",
-    "determinant_grid",
-    "disk_determinant",
-    "make_curve",
-    "parse_shape",
-    "real_roots",
-    "residual",
     "run_contour_grid",
     "run_convergence_study",
     "run_monotonicity_sweep",
     "run_spectrum",
-    "sample",
     "__version__",
 ]

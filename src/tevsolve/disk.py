@@ -10,6 +10,13 @@ is entire in k and real on the real axis for real parameters, so real roots
 are found by sign-change bracketing and complex roots by a grid-seeded Newton
 iteration with the analytic derivative.
 
+det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s,
+and those depend only on n.  The real-axis scan of several material points
+that share n (a lambda -> 1 study, an eta or lambda sweep) therefore
+evaluates the Bessel functions once per mode for all of them; each point
+keeps its own bracketing and bisection, so its roots are those of a
+one-point scan.
+
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
 with multiplicity 2.  Ordering and "first eigenvalue" semantics count
@@ -25,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, PoleError
 from .materials import MaterialParams
-from .special import bessel_j, bessel_j_prime, bessel_j_second
+from .special import MAX_ORDER, bessel_j, bessel_j_prime, bessel_j_second
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +57,33 @@ class DiskEigenvalue:
         return self.k.imag == 0.0
 
 
-def disk_determinant(m: int, k, p: MaterialParams):
-    """Evaluate det_m(k); vectorized over k, entire in k, real for real k."""
-    s = p.sqrt_n
+def disk_determinant(m: int, k, p):
+    """Evaluate det_m(k); vectorized over k, entire in k, real for real k.
+
+    p is one MaterialParams, or a sequence of them that share n: the Bessel
+    values depend only on n and k, so they are computed once and the result
+    has one row per point, (len(p),) + shape(k), each row bitwise equal to
+    the one-point value.
+    """
+    points = (p,) if isinstance(p, MaterialParams) else tuple(p)
+    ns = sorted({q.n for q in points})
+    if len(ns) != 1:
+        raise ConfigError(f"disk_determinant needs points that share one n, got n in {ns}")
+    s = points[0].sqrt_n
     jm_s = bessel_j(m, k * s)
     jm = bessel_j(m, k)
     jpm_s = bessel_j_prime(m, k * s)
     jpm = bessel_j_prime(m, k)
-    return -jm_s * (k * jpm + p.eta * jm) + p.lam * jpm_s * k * s * jm
+
+    def value(q: MaterialParams):
+        return -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
+
+    if isinstance(p, MaterialParams):
+        return value(p)
+    out = np.empty((len(points),) + np.shape(k), np.result_type(k, jm_s, jm, jpm_s, jpm))
+    for i, q in enumerate(points):
+        out[i] = value(q)
+    return out
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):
@@ -105,43 +131,59 @@ def real_roots(
 ) -> list[DiskEigenvalue]:
     """All real eigenvalues in (k_min, k_max] over modes m = 0..m_max.
 
+    The one-point case of :func:`real_roots_many`.
+    """
+    return real_roots_many([p], m_max, k_range, tol, step)[0]
+
+
+def real_roots_many(
+    points,
+    m_max: int = DEFAULT_M_MAX,
+    k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0),
+    tol: float = 1.0e-10,
+    step: float | None = None,
+) -> list[list[DiskEigenvalue]]:
+    """The real eigenvalues of each point in (k_min, k_max], m = 0..m_max.
+
     Scans each det_m on a uniform grid of spacing ``step`` (default
     ``scan_step(tol)``), brackets sign changes, and refines by bisection to an
-    interval of width tol.  k_min must be positive: k = 0 is an analytic zero
-    of every det_m with m >= 1 and never an eigenvalue.
+    interval of width tol.  The points must share n: each mode's scan
+    evaluates the Bessel functions once for all of them (mode-outer,
+    point-inner), and each point's root list equals its one-point scan.
+    k_min must be positive: k = 0 is an analytic zero of every det_m with
+    m >= 1 and never an eigenvalue.
     """
     k_min, k_max = float(k_range[0]), float(k_range[1])
     if not (0 < k_min < k_max) or not np.isfinite(k_max):
         raise ConfigError(f"k_range must satisfy 0 < k_min < k_max, got {k_range}")
     if tol < 1.0e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
-    if m_max < 0:
-        raise ConfigError(f"m_max must be >= 0, got {m_max}")
+    if not 0 <= m_max <= MAX_ORDER:
+        raise ConfigError(f"m_max must be in 0..{MAX_ORDER}, the supported Bessel orders, "
+                          f"got {m_max}")
     h = step if step is not None else scan_step(tol)
     if h <= 0:
         raise ConfigError(f"scan step must be positive, got {h}")
+    points = list(points)
+    if not points:
+        return []
     ks = np.arange(k_min, k_max + h, h)
     ks = ks[ks <= k_max]
-    out: list[DiskEigenvalue] = []
+    outs: list[list[DiskEigenvalue]] = [[] for _ in points]
     for m in range(m_max + 1):
-        vals = np.asarray(disk_determinant(m, ks, p))
-        sign = np.sign(vals)
-        hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for i in hits:
-            root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(vals[i]), p, tol)
-            out.append(
-                DiskEigenvalue(
-                    k=complex(root),
-                    mode_m=m,
-                    multiplicity=1 if m == 0 else 2,
-                    residual=abs(complex(disk_determinant(m, root, p))),
-                )
-            )
-        exact = np.nonzero(vals == 0.0)[0]
-        for i in exact:
-            out.append(DiskEigenvalue(complex(ks[i]), m, 1 if m == 0 else 2, 0.0))
-    out.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
-    return out
+        mult = 1 if m == 0 else 2
+        for p, vals, out in zip(points, disk_determinant(m, ks, points), outs):
+            sign = np.sign(vals)
+            hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+            for i in hits:
+                root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(vals[i]), p, tol)
+                residual = abs(complex(disk_determinant(m, root, p)))
+                out.append(DiskEigenvalue(complex(root), m, mult, residual))
+            for i in np.nonzero(vals == 0.0)[0]:
+                out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
+    for out in outs:
+        out.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
+    return outs
 
 
 def complex_roots(

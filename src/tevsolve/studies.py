@@ -37,6 +37,7 @@ from .disk import (
     complex_roots,
     determinant_grid,
     real_roots,
+    real_roots_many,
 )
 from .errors import ConfigError, NumericalError, TrackingLost
 from .geometry import parse_shape, sample
@@ -406,14 +407,20 @@ def _real_values(eigs, imag_tol: float = REAL_IMAG_TOL) -> list[float]:
     return out
 
 
-def _eigenvalues_for_params(cfg: StudyConfig, params: MaterialParams,
-                            nep: HelmholtzNep | None = None) -> list[float]:
+def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
+    """The distinct real eigenvalues at each point, in order.
+
+    The determinant path scans all points in one pass (they must share n);
+    the BIE path solves each point when its values are asked for.
+    """
     if cfg.method == "determinant":
         det = cfg.determinant
-        eigs = real_roots(params, det.m_max, det.k_range, det.tol)
-        return _real_values(eigs, imag_tol=0.0)
-    nep = nep if nep is not None else _nep_for(cfg, params)
-    return _real_values(_bie_eigenvalues(cfg, nep.with_params(params)))
+        for eigs in real_roots_many(points, det.m_max, det.k_range, det.tol):
+            yield _real_values(eigs, imag_tol=0.0)
+        return
+    nep = _nep_for(cfg, cfg.material)
+    for params in points:
+        yield _real_values(_bie_eigenvalues(cfg, nep.with_params(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +508,10 @@ def run_convergence_study(cfg: StudyConfig, side: str | None = None,
     p_max = p_max or cfg.converge_p_max
     if side not in ("below", "above"):
         raise ConfigError(f"side must be 'below' or 'above', got {side!r}")
-    nep = _nep_for(cfg, cfg.material) if cfg.method == "bie" else None
+    lams = [lambda_at(side, p) for p in range(1, p_max + 1)]
+    windows = _window_values(cfg, [cfg.material.replace(lam=lam) for lam in (1.0, *lams)])
 
-    def eigs_at(lam: float) -> list[float]:
-        return _eigenvalues_for_params(cfg, cfg.material.replace(lam=lam), nep)
-
-    limit_vals = eigs_at(1.0)
+    limit_vals = next(windows)
     if len(limit_vals) < 3:
         raise TrackingLost(1.0, len(limit_vals), 3)
     limits = tuple(limit_vals[:3])
@@ -514,9 +519,7 @@ def run_convergence_study(cfg: StudyConfig, side: str | None = None,
     rows: list[EocRow] = []
     previous: list[float] | None = None
     prev_errors: list[float | None] | None = None
-    for p in range(1, p_max + 1):
-        lam = lambda_at(side, p)
-        values = eigs_at(lam)
+    for p, lam, values in zip(range(1, p_max + 1), lams, windows):
         if len(values) < 3:
             raise TrackingLost(lam, len(values), 3)
         ranked = values[:3]
@@ -585,16 +588,24 @@ def run_monotonicity_sweep(cfg: StudyConfig) -> SweepResult:
                 "sweep point %s=%g lies outside regimes A and B; computing anyway",
                 cfg.sweep_field, v,
             )
-    nep = _nep_for(cfg, cfg.material) if cfg.method == "bie" else None
+    # determinant points that share n scan together, one group per pool task;
+    # BIE points form one group, solved one at a time on one operator so that
+    # each can use node-level parallelism
+    if cfg.method == "determinant":
+        by_n: dict[float, list[int]] = {}
+        for i, params in enumerate(points):
+            by_n.setdefault(params.n, []).append(i)
+        groups = list(by_n.values())
+    else:
+        groups = [list(range(len(points)))]
+    solved = _map(lambda group: list(_window_values(cfg, [points[i] for i in group])),
+                  groups, cfg.effective_jobs)
+    windows: list = [None] * len(points)
+    for group, values in zip(groups, solved):
+        for i, vals in zip(group, values):
+            windows[i] = tuple(vals[j] if j < len(vals) else None for j in range(3))
 
-    def solve_point(params: MaterialParams):
-        vals = _eigenvalues_for_params(cfg, params, nep)
-        return tuple(vals[j] if j < len(vals) else None for j in range(3))
-
-    # BIE points run serially so each can use node-level parallelism
-    results = _map(solve_point, points, cfg.effective_jobs if cfg.method == "determinant" else 1)
-
-    rows = tuple(SweepRow(v, ks) for v, ks in zip(cfg.sweep_values, results))
+    rows = tuple(SweepRow(v, ks) for v, ks in zip(cfg.sweep_values, windows))
     verdicts = tuple(
         _column_verdict([r.ks[j] for r in rows if r.ks[j] is not None]) for j in range(3)
     )

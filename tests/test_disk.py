@@ -4,6 +4,7 @@ and the circle operator symbol."""
 import numpy as np
 import pytest
 
+from tevsolve import disk
 from tevsolve.disk import (
     circle_mode_symbol,
     complex_roots,
@@ -11,10 +12,12 @@ from tevsolve.disk import (
     disk_determinant,
     disk_determinant_prime,
     real_roots,
+    real_roots_many,
 )
 from tevsolve.errors import ConfigError, PoleError
 from tevsolve.materials import MaterialParams
-from tevsolve.special import bessel_j, bessel_j_positive_root
+from tevsolve.special import MAX_ORDER, bessel_j, bessel_j_positive_root
+from tevsolve.studies import lambda_at
 
 EX34 = MaterialParams(n=4.0, eta=-0.01, lam=2.0)
 
@@ -102,6 +105,52 @@ class TestRealRoots:
             real_roots(EX34, k_range=(2.0, 1.0))
         with pytest.raises(ConfigError):
             real_roots(EX34, k_range=(0.1, 1.0), tol=1e-13)
+
+
+class TestSharedScan:
+    """Points that share n: one Bessel evaluation per mode, unchanged roots."""
+
+    def test_many_equals_one_point_scans(self):
+        # the two lambda -> 1 studies of the disk-lambda benchmark: 22 points
+        for base, side, k_range in ((MaterialParams(4.0, 1.0, 1.0), "below", (2.0, 4.0)),
+                                    (MaterialParams(1.0 / 3.0, -1.0, 1.0), "above", (6.0, 8.5))):
+            lams = [1.0] + [lambda_at(side, p) for p in range(1, 11)]
+            points = [base.replace(lam=lam) for lam in lams]
+            many = real_roots_many(points, 6, k_range)
+            assert many == [real_roots(p, 6, k_range) for p in points]
+            assert all(len(roots) >= 3 for roots in many)
+
+    def test_rows_equal_one_point_values(self):
+        points = [MaterialParams(4.0, eta, lam) for eta, lam in ((1.0, 0.5), (-0.01, 2.0),
+                                                                 (3.0, 1.0))]
+        re, im = np.meshgrid(np.linspace(0.1, 9.0, 31), np.linspace(-1.0, 1.0, 17))
+        for k in (np.linspace(0.01, 10.0, 1001), re + 1j * im, 2.5):
+            for m in (0, 3):
+                rows = disk_determinant(m, k, points)
+                assert rows.shape == (len(points),) + np.shape(k)
+                for row, p in zip(rows, points):
+                    assert np.array_equal(row, disk_determinant(m, k, p))
+
+    def test_mixed_n_rejected(self):
+        points = [EX34, MaterialParams(3.0, -0.01, 2.0)]
+        with pytest.raises(ConfigError, match="share one n"):
+            disk_determinant(0, np.linspace(1.0, 2.0, 5), points)
+        with pytest.raises(ConfigError, match="share one n"):
+            real_roots_many(points, 0, (1.0, 2.0))
+
+    def test_no_points(self):
+        assert real_roots_many([], 2, (1.0, 2.0)) == []
+
+    def test_m_max_above_bessel_cap_rejected_before_any_work(self, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("Bessel work before the m_max check")
+
+        monkeypatch.setattr(disk, "bessel_j", no_bessel)
+        monkeypatch.setattr(disk, "bessel_j_prime", no_bessel)
+        with pytest.raises(ConfigError, match=f"0..{MAX_ORDER}"):
+            real_roots(EX34, m_max=MAX_ORDER + 1, k_range=(1.0, 10.0))
+        with pytest.raises(ConfigError):
+            real_roots(EX34, m_max=-1, k_range=(1.0, 10.0))
 
 
 class TestComplexRoots:

@@ -132,6 +132,56 @@ class TestMonotonicitySweep:
             disk_cfg(sweep_field="n", sweep_values=(0.3, 0.1, 0.2))
 
 
+class TestSharedScan:
+    """Determinant points that share n scan each mode once, together."""
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        from tevsolve import disk
+
+        scans = []
+        original = disk.disk_determinant
+
+        def counted(m, k, p):
+            if np.ndim(k):
+                scans.append(m)
+            return original(m, k, p)
+
+        monkeypatch.setattr(disk, "disk_determinant", counted)
+        return scans
+
+    def test_convergence_study_scans_each_mode_once(self, monkeypatch):
+        scans = self.count_scans(monkeypatch)
+        cfg = disk_cfg(material=MaterialParams(4.0, 1.0, 1.0),
+                       determinant=DeterminantSettings(m_max=3, k_range=(2.0, 4.0)))
+        run_convergence_study(cfg, side="below", p_max=3)
+        assert scans == [0, 1, 2, 3]
+
+    def test_eta_sweep_scans_each_mode_once(self, monkeypatch):
+        scans = self.count_scans(monkeypatch)
+        cfg = disk_cfg(material=MaterialParams(3.0, 1.0, 0.5),
+                       determinant=DeterminantSettings(m_max=3, k_range=(1.0, 5.0)),
+                       sweep_field="eta", sweep_values=(1.0, 2.0, 3.0), jobs=2)
+        run_monotonicity_sweep(cfg)
+        assert scans == [0, 1, 2, 3]
+
+    def test_n_sweep_scans_each_point(self, monkeypatch):
+        scans = self.count_scans(monkeypatch)
+        cfg = disk_cfg(material=MaterialParams(3.0, 1.0, 0.5),
+                       determinant=DeterminantSettings(m_max=1, k_range=(1.0, 5.0)),
+                       sweep_field="n", sweep_values=(3.0, 4.0, 5.0), jobs=2)
+        run_monotonicity_sweep(cfg)
+        assert sorted(scans) == [0, 0, 0, 1, 1, 1]
+
+    def test_tracking_lost_at_first_short_window(self):
+        # the limit holds 3 eigenvalues in (2.76, 3.33); p = 1, 2 and 3 hold
+        # 1, 1 and 2: the error names p = 1, not a later short window
+        cfg = disk_cfg(material=MaterialParams(4.0, 1.0, 1.0),
+                       determinant=DeterminantSettings(m_max=3, k_range=(2.76, 3.33)))
+        with pytest.raises(TrackingLost, match="lambda = 1.5 holds 1 eigenvalues"):
+            run_convergence_study(cfg, side="above", p_max=3)
+
+
 class TestSpectrum:
     def test_determinant_with_complex_region(self):
         cfg = disk_cfg(determinant=DeterminantSettings(
@@ -405,6 +455,14 @@ class TestCli:
             assert proc.returncode == 2, (doc, proc.stderr)
         proc = self.run_cli("spectrum", "--k-range", "3")
         assert proc.returncode == 2, proc.stderr
+
+    def test_m_max_above_bessel_cap_exit_code(self):
+        proc = self.run_cli(
+            "spectrum", "--n", "4", "--eta", "1", "--lam", "0.5", "--m-max", "61",
+            "--k-range", "1,10",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "m_max must be in 0..60" in proc.stderr
 
     def test_numerical_failure_exit_code(self):
         proc = self.run_cli(
