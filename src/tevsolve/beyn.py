@@ -91,6 +91,8 @@ class BeynConfig:
             raise ConfigError("probe_columns must be >= 1")
         if self.rank_tol <= 0 or self.residual_tol <= 0:
             raise ConfigError("rank_tol and residual_tol must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

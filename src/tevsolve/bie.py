@@ -15,6 +15,10 @@ analytic curves; on the unit circle the matrices are circulant and the
 discrete Fourier modes reproduce the analytic operator symbols to machine
 precision at moderate N.
 
+Only the Bessel/Hankel kernels depend on k: the node distances and normal
+projections are built once per sample (CurveSample.chords), the weights R_j
+and the log factor once per N.
+
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
 for the two media:
 
@@ -36,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, GeometryError, InteriorResonance, SingularMatrix
+from .errors import ConfigError, InteriorResonance, SingularMatrix
 from .geometry import CurveSample
 from .materials import MaterialParams
 from .special import bessel_j, hankel1
@@ -47,16 +51,20 @@ CACHE_BYTES = 192 * 1024 * 1024  # trace-ratio cache budget of one HelmholtzNep 
 
 
 @lru_cache(maxsize=32)
-def log_quadrature_weights(n: int) -> np.ndarray:
-    """Weights R_l for int_0^{2pi} f(tau) ln(4 sin^2((t_i - tau)/2)) dtau.
-
-    Exact for trigonometric polynomials of degree < n/2 sampled at the n
-    equispaced nodes; R_l couples nodes i, j with l = |i - j|.
-    """
+def _log_quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n x n weights R_|i-j| and log factor ln(4 sin^2((t_i - t_j)/2))
+    (0 on the diagonal).  R_l integrates f(tau) ln(4 sin^2((t_i - tau)/2))
+    exactly for trigonometric polynomials f of degree < n/2."""
     l = np.arange(n)
     m = np.arange(1, n // 2)
     w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
-    return w - (4.0 * np.pi / n**2) * np.cos(np.pi * l)
+    w = w - (4.0 * np.pi / n**2) * np.cos(np.pi * l)
+    weights = w[np.abs(l[:, None] - l[None, :])]
+    t = 2.0 * np.pi * l / n
+    dt = t[:, None] - t[None, :]
+    log = np.log(4.0 * np.sin(dt / 2.0) ** 2 + np.eye(n))
+    weights.flags.writeable = log.flags.writeable = False
+    return weights, log
 
 
 def _check_wavenumber(k: complex) -> complex:
@@ -66,25 +74,22 @@ def _check_wavenumber(k: complex) -> complex:
     return k
 
 
-def _geometry_arrays(s: CurveSample):
+def _safe_distances(s: CurveSample) -> np.ndarray:
+    """Node distances, 1 on the diagonal (where limits replace the kernels)."""
     if s.n < MIN_NODES:
         raise ConfigError(f"boundary assembly needs at least {MIN_NODES} nodes, got {s.n}")
-    d = s.points[:, None, :] - s.points[None, :, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    off = ~np.eye(s.n, dtype=bool)
-    if np.any(r[off] < 1.0e-12):
-        raise GeometryError("coincident quadrature nodes; curve is degenerate")
-    return d, r
+    return s.chords[0] + np.eye(s.n)
 
 
-def _log_factor(s: CurveSample) -> np.ndarray:
-    dt = s.t[:, None] - s.t[None, :]
-    return np.log(4.0 * np.sin(dt / 2.0) ** 2 + np.eye(s.n))
-
-
-def _weight_matrix(s: CurveSample) -> np.ndarray:
-    idx = np.abs(np.arange(s.n)[:, None] - np.arange(s.n)[None, :])
-    return log_quadrature_weights(s.n)[idx]
+def _log_split(smooth: np.ndarray, full: np.ndarray, smooth_diag, rest_diag) -> np.ndarray:
+    """Nystrom matrix of the kernel full = smooth * log + rest with the given
+    diagonal limits: smooth (overwritten) by the weights R, rest by the trapezoid rule."""
+    n = smooth.shape[0]
+    weights, log = _log_quadrature(n)
+    rest = full - smooth * log
+    np.fill_diagonal(smooth, smooth_diag)
+    np.fill_diagonal(rest, rest_diag)
+    return weights * smooth + (2.0 * np.pi / n) * rest
 
 
 def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
@@ -94,17 +99,11 @@ def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
     the analytic limit (i/4 - gamma/(2 pi) - ln(k |x'(t)|/2)/(2 pi)) |x'(t)|.
     """
     k = _check_wavenumber(k)
-    _, r = _geometry_arrays(sample)
-    n, sp = sample.n, sample.speeds
-    r_safe = r + np.eye(n)
+    r_safe, sp = _safe_distances(sample), sample.speeds
     smooth = -(1.0 / (4.0 * np.pi)) * np.asarray(bessel_j(0, k * r_safe)) * sp[None, :]
     full = (0.25j) * np.asarray(hankel1(0, k * r_safe)) * sp[None, :]
-    rest = full - smooth * _log_factor(sample)
-    np.fill_diagonal(smooth, -(1.0 / (4.0 * np.pi)) * sp)
-    np.fill_diagonal(
-        rest, (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
-    )
-    return _weight_matrix(sample) * smooth + (2.0 * np.pi / n) * rest
+    rest_diag = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
+    return _log_split(smooth, full, -(1.0 / (4.0 * np.pi)) * sp, rest_diag)
 
 
 def assemble_adjoint_double_layer(sample: CurveSample, k: complex) -> np.ndarray:
@@ -116,16 +115,11 @@ def assemble_adjoint_double_layer(sample: CurveSample, k: complex) -> np.ndarray
     diagonal).
     """
     k = _check_wavenumber(k)
-    d, r = _geometry_arrays(sample)
-    n, sp = sample.n, sample.speeds
-    r_safe = r + np.eye(n)
-    g = np.einsum("ik,ijk->ij", sample.normals, d) / r_safe * sp[None, :]
+    r_safe, sp = _safe_distances(sample), sample.speeds
+    g = sample.chords[1] / r_safe * sp[None, :]
     smooth = (k / (4.0 * np.pi)) * np.asarray(bessel_j(1, k * r_safe)) * g
     full = -(0.25j * k) * np.asarray(hankel1(1, k * r_safe)) * g
-    rest = full - smooth * _log_factor(sample)
-    np.fill_diagonal(smooth, 0.0)
-    np.fill_diagonal(rest, -sample.curvatures * sp / (4.0 * np.pi))
-    return _weight_matrix(sample) * smooth + (2.0 * np.pi / n) * rest
+    return _log_split(smooth, full, 0.0, -sample.curvatures * sp / (4.0 * np.pi))
 
 
 def neumann_trace_matrix(sample: CurveSample, k: complex) -> np.ndarray:
@@ -151,14 +145,6 @@ def _trace_ratio(sample: CurveSample, k: complex) -> np.ndarray:
         return linalg.solve_right(A, S, pivot_rtol=_RESONANCE_PIVOT_RTOL)
     except SingularMatrix as exc:
         raise InteriorResonance(k) from exc
-
-
-def assemble_M(sample: CurveSample, k: complex, p: MaterialParams) -> np.ndarray:
-    """The transmission eigenvalue matrix M(k) on the sampled curve."""
-    k = _check_wavenumber(k)
-    P_w = _trace_ratio(sample, k * p.sqrt_n)
-    P_v = _trace_ratio(sample, k)
-    return p.lam * P_w - P_v - p.eta * np.eye(sample.n)
 
 
 class _TraceRatioCache:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PoleError
+from .errors import ConfigError
 from .materials import MaterialParams
 from .special import MAX_ORDER, bessel_j, bessel_j_prime, bessel_j_second
 
@@ -51,10 +51,6 @@ class DiskEigenvalue:
     mode_m: int
     multiplicity: int
     residual: float
-
-    @property
-    def is_real(self) -> bool:
-        return self.k.imag == 0.0
 
 
 def disk_determinant(m: int, k, p):
@@ -289,23 +285,3 @@ def determinant_grid(
     kk = re[:, None] + 1j * im[None, :]
     vals = np.abs(np.asarray(disk_determinant(m, kk, p)))
     return re, im, vals
-
-
-def circle_mode_symbol(m: int, k, p: MaterialParams):
-    """Scalar symbol of the boundary-integral operator on the unit circle.
-
-    mu_m(k) = lam k s J'_m(ks)/J_m(ks) - k J'_m(k)/J_m(k) - eta,  s = sqrt(n).
-
-    Vanishes exactly at the roots of det_m (it equals det_m(k) divided by
-    J_m(ks) J_m(k)) and is the analytic oracle for the assembled circle
-    operator.  Raises PoleError within 1e-13 (relative) of a Bessel zero.
-    """
-    s = p.sqrt_n
-    jm_s = np.asarray(bessel_j(m, np.asarray(k) * s))
-    jm = np.asarray(bessel_j(m, k))
-    if np.any(np.abs(jm_s) < 1.0e-13) or np.any(np.abs(jm) < 1.0e-13):
-        raise PoleError(f"J_{m} vanishes at the evaluation point; symbol has a pole")
-    term_w = p.lam * np.asarray(k) * s * np.asarray(bessel_j_prime(m, np.asarray(k) * s)) / jm_s
-    term_v = np.asarray(k) * np.asarray(bessel_j_prime(m, k)) / jm
-    out = term_w - term_v - p.eta
-    return out if out.ndim else out[()]

@@ -11,6 +11,7 @@ positive orientation on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,13 +155,13 @@ def parse_shape(spec: str) -> BoundaryCurve:
     return make_curve(kind, **params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveSample:
     """Curve data at the N equispaced parameter nodes t_j = 2 pi j / N.
 
     Normals are outward unit vectors; curvature is the signed curvature,
     positive for a counterclockwise circle.  The sample is immutable and safe
-    to share across threads.
+    to share across threads; samples compare by identity.
     """
 
     curve: BoundaryCurve
@@ -172,11 +173,18 @@ class CurveSample:
     normals: np.ndarray
     curvatures: np.ndarray
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
+    @cached_property
+    def chords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only node distances |x_i - x_j| and normal projections
+        nu_i . (x_i - x_j), computed once; raises GeometryError when two
+        distinct nodes coincide."""
+        d = self.points[:, None, :] - self.points[None, :, :]
+        r = np.hypot(d[..., 0], d[..., 1])
+        if np.any(r[~np.eye(self.n, dtype=bool)] < 1.0e-12):
+            raise GeometryError("coincident quadrature nodes; curve is degenerate")
+        proj = np.einsum("ik,ijk->ij", self.normals, d)
+        r.flags.writeable = proj.flags.writeable = False
+        return r, proj
 
 
 def sample(curve: BoundaryCurve, n: int) -> CurveSample:

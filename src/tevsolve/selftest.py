@@ -15,11 +15,11 @@ import numpy as np
 
 from .beyn import BeynConfig, ContourSpec, beyn_solve
 from .bie import HelmholtzNep, assemble_single_layer, neumann_trace_matrix
-from .disk import circle_mode_symbol
 from .geometry import parse_shape, sample
 from .materials import MaterialParams
 from .special import bessel_j, bessel_j_prime
 from .studies import read_table_csv, spectrum_table, write_table, SpectrumRow
+from .testing import circle_mode_symbol, quadratic_matrix_poly
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ def _circle_modes() -> str:
 
 
 def _poly_nep() -> str:
-    from .testing import quadratic_matrix_poly
-
     poly, companion_eigs = quadratic_matrix_poly()
     inside = sorted(
         (z for z in companion_eigs if abs(z - 1.5) < 1.2), key=lambda z: (z.real, z.imag)

@@ -32,12 +32,12 @@ def _check_argument(z, name: str = "z"):
     return z
 
 
-def _check_order(m: int, max_order: int = MAX_ORDER) -> int:
+def _check_order(m: int) -> int:
     if m != int(m):
         raise RangeError(f"order must be an integer, got {m!r}")
     m = int(m)
-    if abs(m) > max_order:
-        raise RangeError(f"order |m| = {abs(m)} exceeds supported range {max_order}")
+    if abs(m) > MAX_ORDER:
+        raise RangeError(f"order |m| = {abs(m)} exceeds supported range {MAX_ORDER}")
     return m
 
 
@@ -100,13 +100,3 @@ def hankel1(m: int, z):
     if np.any(np.real(z) <= 0):
         raise RangeError("hankel1 requires re(z) > 0")
     return _finite_or_raise(_sp.hankel1(m, z), f"H1_{m}")
-
-
-def bessel_j_positive_root(m: int, index: int) -> float:
-    """index-th positive root j_{m,index} of J_m, with |J_m(root)| <= 1e-12."""
-    m = _check_order(m, max_order=10)
-    if m < 0:
-        raise RangeError("positive roots are tabulated for m >= 0 only")
-    if not 1 <= index <= 20:
-        raise RangeError(f"root index must be in 1..20, got {index}")
-    return float(_sp.jn_zeros(m, index)[-1])

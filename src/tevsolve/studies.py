@@ -22,7 +22,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -48,7 +48,6 @@ logger = logging.getLogger(__name__)
 REAL_IMAG_TOL = 5.0e-4     # |im k| below this classifies an eigenvalue as real
 MERGE_TOL = 1.0e-6         # per-mode merge distance of determinant roots
 DISTINCT_TOL = 1.0e-9      # distinct-k tolerance for table columns
-TRACKING_MAX_JUMP = 0.2    # nearest-neighbor continuation limit
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,10 @@ class StudyConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.converge_side not in ("below", "above"):
             raise ConfigError(f"side must be 'below' or 'above', got {self.converge_side!r}")
+        if self.converge_p_max < 1:
+            raise ConfigError(f"p_max must be >= 1, got {self.converge_p_max}")
+        if self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0 (0: all cores), got {self.jobs}")
         if self.sweep_field is not None:
             if self.sweep_field not in ("n", "eta", "lambda"):
                 raise ConfigError(f"sweep field must be n, eta or lambda, got {self.sweep_field!r}")
@@ -504,10 +507,9 @@ def run_convergence_study(cfg: StudyConfig, side: str | None = None,
     fewer than three eigenvalues raises TrackingLost.  EOC columns compare
     |k_j(lambda_p) - k_j(1)| across consecutive rows.
     """
-    side = side or cfg.converge_side
-    p_max = p_max or cfg.converge_p_max
-    if side not in ("below", "above"):
-        raise ConfigError(f"side must be 'below' or 'above', got {side!r}")
+    cfg = replace(cfg, converge_side=side or cfg.converge_side,
+                  converge_p_max=cfg.converge_p_max if p_max is None else p_max)
+    side, p_max = cfg.converge_side, cfg.converge_p_max
     lams = [lambda_at(side, p) for p in range(1, p_max + 1)]
     windows = _window_values(cfg, [cfg.material.replace(lam=lam) for lam in (1.0, *lams)])
 

@@ -7,7 +7,9 @@ import numpy as np
 import scipy.special as sp
 
 from . import linalg
+from .errors import PoleError, RangeError
 from .geometry import length_and_area, sample
+from .special import bessel_j, bessel_j_prime
 
 
 class MatrixPolynomial:
@@ -47,6 +49,35 @@ def quadratic_matrix_poly():
         [[np.zeros((3, 3)), np.eye(3)], [-c0, -c1]]
     )
     return poly, np.linalg.eigvals(companion)
+
+
+def bessel_j_positive_root(m: int, index: int) -> float:
+    """index-th positive root j_{m,index} of J_m, with |J_m(root)| <= 1e-12."""
+    if m != int(m) or not 0 <= m <= 10:
+        raise RangeError(f"positive roots are tabulated for integer orders 0..10, got {m!r}")
+    if not 1 <= index <= 20:
+        raise RangeError(f"root index must be in 1..20, got {index}")
+    return float(sp.jn_zeros(int(m), index)[-1])
+
+
+def circle_mode_symbol(m: int, k, p):
+    """Scalar symbol of the boundary-integral operator on the unit circle.
+
+    mu_m(k) = lam k s J'_m(ks)/J_m(ks) - k J'_m(k)/J_m(k) - eta,  s = sqrt(n).
+
+    Vanishes exactly at the roots of det_m (it equals det_m(k) divided by
+    J_m(ks) J_m(k)) and is the analytic oracle for the assembled circle
+    operator.  Raises PoleError within 1e-13 (relative) of a Bessel zero.
+    """
+    s = p.sqrt_n
+    jm_s = np.asarray(bessel_j(m, np.asarray(k) * s))
+    jm = np.asarray(bessel_j(m, k))
+    if np.any(np.abs(jm_s) < 1.0e-13) or np.any(np.abs(jm) < 1.0e-13):
+        raise PoleError(f"J_{m} vanishes at the evaluation point; symbol has a pole")
+    term_w = p.lam * np.asarray(k) * s * np.asarray(bessel_j_prime(m, np.asarray(k) * s)) / jm_s
+    term_v = np.asarray(k) * np.asarray(bessel_j_prime(m, k)) / jm
+    out = term_w - term_v - p.eta
+    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------

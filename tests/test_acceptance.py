@@ -21,7 +21,6 @@ from tevsolve.disk import real_roots
 from tevsolve.errors import CapacityExceeded
 from tevsolve.geometry import parse_shape, sample
 from tevsolve.materials import MaterialParams
-from tevsolve.special import bessel_j_positive_root
 from tevsolve.studies import (
     BieSettings,
     DeterminantSettings,
@@ -32,6 +31,7 @@ from tevsolve.studies import (
     run_spectrum,
 )
 from tevsolve.testing import (
+    bessel_j_positive_root,
     disk_root_mp,
     disk_zero_count,
     fourier_bessel_root,

@@ -8,16 +8,14 @@ import scipy.special as sp
 from tevsolve import bie, linalg
 from tevsolve.bie import (
     HelmholtzNep,
-    assemble_M,
     assemble_adjoint_double_layer,
     assemble_single_layer,
     neumann_trace_matrix,
 )
-from tevsolve.disk import circle_mode_symbol
-from tevsolve.errors import ConfigError, InteriorResonance
-from tevsolve.geometry import parse_shape, sample
+from tevsolve.errors import ConfigError, GeometryError, InteriorResonance
+from tevsolve.geometry import make_curve, parse_shape, sample
 from tevsolve.materials import MaterialParams
-from tevsolve.special import bessel_j_positive_root
+from tevsolve.testing import bessel_j_positive_root, circle_mode_symbol
 
 EX34 = MaterialParams(n=4.0, eta=-0.01, lam=2.0)
 
@@ -94,11 +92,40 @@ class TestAdjointDoubleLayer:
         assert np.max(np.abs(d_re - d_im)) <= 1e-6
 
 
+class TestQuadratureData:
+    def test_coincident_nodes_rejected(self):
+        # the unit circle traced twice: node j and node j + 16 coincide
+        twice = make_curve("trig", xc=(0, 0, 1), xs=(0, 0, 0), yc=(0, 0, 0), ys=(0, 0, 1))
+        s = sample(twice, 32)
+        for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
+            with pytest.raises(GeometryError):
+                assemble(s, 2.0)
+
+    def test_too_few_nodes_rejected(self):
+        s = sample(parse_shape("circle:r=1"), 12)
+        for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
+            with pytest.raises(ConfigError):
+                assemble(s, 2.0)
+
+    def test_cached_arrays_untouched_by_assembly(self):
+        s = sample(parse_shape("kite"), 32)
+        first = [assemble_single_layer(s, 1.5 + 0.1j), assemble_adjoint_double_layer(s, 1.5 + 0.1j)]
+        copies = [a.copy() for a in first]
+        assemble_single_layer(s, 2.5 - 0.2j)
+        assemble_adjoint_double_layer(s, 2.5 - 0.2j)
+        for a, b in zip(first, copies):
+            assert np.array_equal(a, b)
+        assert np.array_equal(assemble_single_layer(s, 1.5 + 0.1j), copies[0])
+        assert s.chords is s.chords  # built once per sample
+        for cached in (*s.chords, *bie._log_quadrature(s.n)):
+            assert not cached.flags.writeable
+
+
 class TestAssembleM:
     def test_circle_mode_eigenvalues_match_symbol(self):
         s = sample(parse_shape("circle:r=1"), 256)
         k = 2.0
-        M = assemble_M(s, k, EX34)
+        M = HelmholtzNep(s, EX34)(k)
         for m in range(5):
             mode = np.exp(1j * m * s.t)
             ref = circle_mode_symbol(m, k, EX34)
@@ -106,30 +133,30 @@ class TestAssembleM:
 
     def test_near_singular_at_published_root(self):
         s = sample(parse_shape("circle:r=1"), 120)
-        M = assemble_M(s, 3.4567, EX34)
+        M = HelmholtzNep(s, EX34)(3.4567)
         sv = linalg.singular_values(M)
         assert sv[-1] <= 1e-3 * sv[0]
 
     def test_identical_media_give_zero_operator(self):
         s = sample(parse_shape("circle:r=1"), 64)
         p = MaterialParams(n=1.0, eta=0.0, lam=1.0)
-        M = assemble_M(s, 1.7, p)
+        M = HelmholtzNep(s, p)(1.7)
         assert np.linalg.norm(M) <= 1e-10
 
     def test_interior_resonance_detected(self):
         # k at the first Dirichlet wavenumber of the unit disk makes S_k singular
         s = sample(parse_shape("circle:r=1"), 96)
         with pytest.raises(InteriorResonance):
-            assemble_M(s, bessel_j_positive_root(0, 1), MaterialParams(1.0, -0.01, 2.0))
+            HelmholtzNep(s, MaterialParams(1.0, -0.01, 2.0))(bessel_j_positive_root(0, 1))
 
     def test_cross_validation_against_determinant(self):
         # smallest singular value of M dips below 1e-6 * ||M|| exactly at the
         # determinant roots, and nowhere nearby
         s = sample(parse_shape("circle:r=1"), 120)
         for root in (0.72083, 2.151602):  # published mode-1 and mode-4 roots
-            sv = linalg.singular_values(assemble_M(s, root, EX34))
+            sv = linalg.singular_values(HelmholtzNep(s, EX34)(root))
             assert sv[-1] <= 1e-4 * sv[0]
-        sv = linalg.singular_values(assemble_M(s, 1.45, EX34))
+        sv = linalg.singular_values(HelmholtzNep(s, EX34)(1.45))
         assert sv[-1] >= 1e-3 * sv[0]
 
     def test_self_convergence_on_kite(self):
@@ -138,7 +165,7 @@ class TestAssembleM:
         vals = []
         for n in (120, 240):
             s = sample(parse_shape("kite"), n)
-            sv = linalg.singular_values(assemble_M(s, 2.0, EX34))
+            sv = linalg.singular_values(HelmholtzNep(s, EX34)(2.0))
             vals.append(sv[-1])
         assert abs(vals[0] - vals[1]) <= 1e-8
 
@@ -148,7 +175,12 @@ class TestHelmholtzNep:
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
         nep = HelmholtzNep(s, EX34)
         z = 1.2 + 0.1j
-        assert np.allclose(nep(z), assemble_M(s, z, EX34), atol=1e-13)
+
+        def trace_ratio(k):
+            return linalg.solve_right(neumann_trace_matrix(s, k), assemble_single_layer(s, k))
+
+        ref = EX34.lam * trace_ratio(z * EX34.sqrt_n) - trace_ratio(z) - EX34.eta * np.eye(s.n)
+        assert np.allclose(nep(z), ref, atol=1e-13)
 
     def test_cache_budget_shared_by_copies(self, monkeypatch):
         s = sample(parse_shape("circle:r=1"), 32)

@@ -6,7 +6,6 @@ import pytest
 
 from tevsolve import disk
 from tevsolve.disk import (
-    circle_mode_symbol,
     complex_roots,
     determinant_grid,
     disk_determinant,
@@ -16,8 +15,9 @@ from tevsolve.disk import (
 )
 from tevsolve.errors import ConfigError, PoleError
 from tevsolve.materials import MaterialParams
-from tevsolve.special import MAX_ORDER, bessel_j, bessel_j_positive_root
+from tevsolve.special import MAX_ORDER, bessel_j
 from tevsolve.studies import lambda_at
+from tevsolve.testing import bessel_j_positive_root, circle_mode_symbol
 
 EX34 = MaterialParams(n=4.0, eta=-0.01, lam=2.0)
 

@@ -7,11 +7,11 @@ import pytest
 from tevsolve.errors import RangeError, SingularityError
 from tevsolve.special import (
     bessel_j,
-    bessel_j_positive_root,
     bessel_j_prime,
     bessel_j_second,
     hankel1,
 )
+from tevsolve.testing import bessel_j_positive_root
 
 mp.mp.dps = 30
 

@@ -94,6 +94,12 @@ class TestConvergenceStudy:
         with pytest.raises(TrackingLost, match="lambda = 1 holds 0 eigenvalues; 3 are needed"):
             run_convergence_study(cfg, side="below", p_max=2)
 
+    def test_p_max_below_one_rejected(self):
+        cfg = disk_cfg(determinant=DeterminantSettings(m_max=2, k_range=(2.0, 4.0)))
+        for p_max in (0, -2):
+            with pytest.raises(ConfigError, match="p_max must be >= 1"):
+                run_convergence_study(cfg, side="below", p_max=p_max)
+
 
 class TestMonotonicitySweep:
     def test_disk_regime_a_n_sweep(self):
@@ -328,7 +334,9 @@ class TestConfig:
     def test_bad_values_rejected(self):
         for doc in ({"determinant": {"m_max": "abc"}}, {"grid": {"region": [0, 1]}},
                     {"determinant": {"k_range": 3}}, {"bie": {"contours": [{"radius": 1}]}},
-                    {"bie": {"contours": {"mu": 1}}}, {"shape": 1}, [{"shape": "kite"}]):
+                    {"bie": {"contours": {"mu": 1}}}, {"shape": 1}, [{"shape": "kite"}],
+                    {"bie": {"beyn": {"seed": -1}}}, {"converge": {"p_max": 0}},
+                    {"converge": {"p_max": -2}}, {"jobs": -4}):
             with pytest.raises(ConfigError):
                 config_from_dict(doc)
 
@@ -449,12 +457,19 @@ class TestCli:
         proc = self.run_cli("spectrum", "--config", str(bad))
         assert proc.returncode == 2
         for doc in ({"determinant": {"m_max": "abc"}}, {"material": [4, 1, 1]},
-                    {"grid": {"region": [0, 1]}}):
+                    {"grid": {"region": [0, 1]}},
+                    {"method": "bie", "shape": "kite", "bie": {"nodes": 32, "contours": [{"mu": 2}],
+                                                               "beyn": {"seed": -1}}}):
             bad.write_text(json.dumps(doc))
             proc = self.run_cli("spectrum", "--config", str(bad))
             assert proc.returncode == 2, (doc, proc.stderr)
         proc = self.run_cli("spectrum", "--k-range", "3")
         assert proc.returncode == 2, proc.stderr
+        converge = ("converge", "--n", "4", "--eta", "1", "--lambda", "1", "--k-range", "2,4",
+                    "--m-max", "2")
+        for flags in (("--pmax", "0"), ("--pmax", "-2"), ("--jobs", "-4")):
+            proc = self.run_cli(*converge, *flags)
+            assert proc.returncode == 2, (flags, proc.stderr)
 
     def test_m_max_above_bessel_cap_exit_code(self):
         proc = self.run_cli(
