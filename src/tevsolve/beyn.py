@@ -28,13 +28,13 @@ containing only one of them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import CapacityExceeded, ConfigError
+from .linalg import _map
 
 _NOISE_FLOOR_FACTOR = 100.0
 _NEWTON_DIFF_STEP = 1.0e-7  # forward-difference step of the polish, times the radius
@@ -138,7 +138,12 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     is the member with the smallest residual.  A simple eigenvalue (cluster of
     one) is then polished by one Newton step on M (see _newton_polish), which
     squares the trapezoid error of the reduced problem; clusters are reported
-    unpolished.  Results are deterministic for
+    unpolished.
+
+    ``jobs`` threads share the work: the node solves, then three batches --
+    the candidates' residuals, the polish steps, the polished residuals.  A
+    family with a ``prefetch(zs, jobs)`` method (HelmholtzNep) first builds
+    the parts of a batch's M(z) on the pool.  Results are deterministic for
     fixed seed, also under ``jobs`` > 1 (moments accumulate in node order).
 
     Raises CapacityExceeded when the zeroth moment is numerically full rank,
@@ -186,41 +191,34 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     reduced = linalg.eig_dense(B)
     candidates = contour.center + contour.radius * reduced
 
-    kept: list[tuple[complex, float]] = []
-    for z in candidates:
-        z = complex(z)
-        if not contour.contains(z):
-            continue
-        r = residual(nep, z)
-        if r <= cfg.residual_tol:
-            kept.append((z, r))
+    inside = [complex(z) for z in candidates if contour.contains(z)]
+    kept = [(z, r) for z, r in zip(inside, _residuals(nep, inside, jobs))
+            if r <= cfg.residual_tol]
     if not kept:
         return []
 
     clusters = _cluster([z for z, _ in kept], 10.0 * cfg.residual_tol)
-
-    def finish(cluster: list[int]) -> NepEigenvalue:
-        z, r = kept[min(cluster, key=lambda i: kept[i][1])]
-        if len(cluster) == 1:
-            z, r = _newton_polish(nep, contour, z, r, 10.0 * cfg.residual_tol)
-        return NepEigenvalue(k=z, residual=r, multiplicity=len(cluster), contour=contour)
-
-    out = _map(finish, clusters, jobs)
+    best = [kept[min(cluster, key=lambda i: kept[i][1])] for cluster in clusters]
+    simple = [i for i, cluster in enumerate(clusters) if len(cluster) == 1]
+    best = _newton_polish(nep, contour, best, simple, 10.0 * cfg.residual_tol, jobs)
+    out = [NepEigenvalue(k=z, residual=r, multiplicity=len(cluster), contour=contour)
+           for (z, r), cluster in zip(best, clusters)]
     out.sort(key=lambda e: (e.k.real, e.k.imag))
     return out
 
 
-def _map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], on a thread pool when jobs > 1 (order kept)."""
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _residuals(nep, zs: list[complex], jobs: int) -> list[float]:
+    """residual(nep, z) for each z in zs, on the pool, after nep.prefetch(zs, jobs)."""
+    if hasattr(nep, "prefetch"):
+        nep.prefetch(zs, jobs)
+    return _map(lambda z: residual(nep, z), zs, jobs)
 
 
-def _newton_polish(nep, contour: ContourSpec, z: complex, r: float, max_move: float
-                   ) -> tuple[complex, float]:
-    """One Newton step from a simple eigenvalue estimate z with residual r.
+def _newton_polish(nep, contour: ContourSpec, estimates: list[tuple[complex, float]],
+                   simple: list[int], max_move: float, jobs: int
+                   ) -> list[tuple[complex, float]]:
+    """One Newton step from each simple eigenvalue estimate (z, r) = estimates[i],
+    i in simple, with residual r.
 
     The step is taken on g(w) = y^H M(w) x, x and y the right and left
     singular vectors of sigma_min(M(z)) (a two-sided Rayleigh functional):
@@ -228,16 +226,26 @@ def _newton_polish(nep, contour: ContourSpec, z: complex, r: float, max_move: fl
     the error of z, which the trapezoid rule leaves at up to ~1e-4 for
     eigenvalues near the contour or near other eigenvalues.  g' is a forward
     difference.  The step is kept only if it stays inside the contour, moves
-    at most max_move and lowers the residual; (z, r) is returned otherwise.
+    at most max_move and lowers the residual; (z, r) is kept otherwise.  The
+    estimates' M(z + h), steps and new residuals each run as one batch on the
+    pool.
     """
-    if r == 0.0:
-        return z, r
-    U, s, W = linalg.svd(nep(z))
-    x, y = W[:, -1], U[:, -1]
     h = _NEWTON_DIFF_STEP * contour.radius
-    slope = (y.conj() @ nep(z + h) @ x - s[-1]) / h
-    z_new = complex(z - s[-1] / slope)
-    if abs(z_new - z) > max_move or not contour.contains(z_new):
-        return z, r
-    r_new = residual(nep, z_new)
-    return (z_new, r_new) if r_new < r else (z, r)
+    todo = [i for i in simple if estimates[i][1] != 0.0]
+    if hasattr(nep, "prefetch"):
+        nep.prefetch([estimates[i][0] + h for i in todo], jobs)
+
+    def step(i: int) -> complex:
+        z = estimates[i][0]
+        U, s, W = linalg.svd(nep(z))
+        x, y = W[:, -1], U[:, -1]
+        slope = (y.conj() @ nep(z + h) @ x - s[-1]) / h
+        return complex(z - s[-1] / slope)
+
+    moves = [(i, z_new) for i, z_new in zip(todo, _map(step, todo, jobs))
+             if abs(z_new - estimates[i][0]) <= max_move and contour.contains(z_new)]
+    out = list(estimates)
+    for (i, z_new), r_new in zip(moves, _residuals(nep, [z for _, z in moves], jobs)):
+        if r_new < estimates[i][1]:
+            out[i] = (z_new, r_new)
+    return out

@@ -42,6 +42,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, InteriorResonance, SingularMatrix
 from .geometry import CurveSample
+from .linalg import _map
 from .materials import MaterialParams
 from .special import bessel_j, hankel1
 
@@ -206,3 +207,11 @@ class HelmholtzNep:
         P_w = self._cache.get(z * p.sqrt_n)
         P_v = self._cache.get(z)
         return p.lam * P_w - P_v - p.eta * np.eye(self.dim)
+
+    def prefetch(self, zs, jobs: int) -> None:
+        """Build the trace ratios of M(z) at every z in zs on a pool of ``jobs``
+        threads, each wavenumber once, unless they overflow the cache together."""
+        ks = list(dict.fromkeys(k for z in map(_check_wavenumber, zs)
+                                for k in (z * self.params.sqrt_n, z)))
+        if len(ks) * self.dim**2 * np.dtype(complex).itemsize <= CACHE_BYTES:
+            _map(self._cache.get, ks, jobs)

@@ -10,12 +10,12 @@ is entire in k and real on the real axis for real parameters, so real roots
 are found by sign-change bracketing and complex roots by a grid-seeded Newton
 iteration with the analytic derivative.
 
-det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s,
-and those depend only on n.  The real-axis scan of several material points
-that share n (a lambda -> 1 study, an eta or lambda sweep) therefore
-evaluates the Bessel functions once per mode for all of them; each point
-keeps its own bracketing and bisection, so its roots are those of a
-one-point scan.
+det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s.
+The real-axis scan of a study's material points (a lambda -> 1 study, an
+n, eta or lambda sweep) therefore evaluates J_m and J'_m at k once per mode
+for all of them, and at k s once per mode and distinct n; each point keeps
+its own bracketing and bisection, so its roots are those of a one-point
+scan.  The modes are independent tasks on the ``jobs`` pool.
 
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import _map
 from .materials import MaterialParams
 from .special import MAX_ORDER, bessel_j, bessel_j_prime, bessel_j_second
 
@@ -56,30 +57,22 @@ class DiskEigenvalue:
 def disk_determinant(m: int, k, p):
     """Evaluate det_m(k); vectorized over k, entire in k, real for real k.
 
-    p is one MaterialParams, or a sequence of them that share n: the Bessel
-    values depend only on n and k, so they are computed once and the result
-    has one row per point, (len(p),) + shape(k), each row bitwise equal to
-    the one-point value.
+    p is one MaterialParams, or a sequence of them: the result then has one
+    row per point, (len(p),) + shape(k), each row bitwise equal to the
+    one-point value.  J_m and J'_m are evaluated once at k, and at k sqrt(n)
+    once per distinct n, one n at a time.
     """
     points = (p,) if isinstance(p, MaterialParams) else tuple(p)
-    ns = sorted({q.n for q in points})
-    if len(ns) != 1:
-        raise ConfigError(f"disk_determinant needs points that share one n, got n in {ns}")
-    s = points[0].sqrt_n
-    jm_s = bessel_j(m, k * s)
-    jm = bessel_j(m, k)
-    jpm_s = bessel_j_prime(m, k * s)
-    jpm = bessel_j_prime(m, k)
-
-    def value(q: MaterialParams):
-        return -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
-
-    if isinstance(p, MaterialParams):
-        return value(p)
-    out = np.empty((len(points),) + np.shape(k), np.result_type(k, jm_s, jm, jpm_s, jpm))
-    for i, q in enumerate(points):
-        out[i] = value(q)
-    return out
+    jm, jpm = bessel_j(m, k), bessel_j_prime(m, k)
+    out = np.empty((len(points),) + np.shape(k), np.result_type(k, jm, jpm))
+    for n in dict.fromkeys(q.n for q in points):
+        rows = [i for i, q in enumerate(points) if q.n == n]
+        s = points[rows[0]].sqrt_n
+        jm_s, jpm_s = bessel_j(m, k * s), bessel_j_prime(m, k * s)
+        for i in rows:
+            q = points[i]
+            out[i] = -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
+    return out[0] if isinstance(p, MaterialParams) else out
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):
@@ -124,12 +117,13 @@ def real_roots(
     k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0),
     tol: float = 1.0e-10,
     step: float | None = None,
+    jobs: int = 1,
 ) -> list[DiskEigenvalue]:
     """All real eigenvalues in (k_min, k_max] over modes m = 0..m_max.
 
     The one-point case of :func:`real_roots_many`.
     """
-    return real_roots_many([p], m_max, k_range, tol, step)[0]
+    return real_roots_many([p], m_max, k_range, tol, step, jobs)[0]
 
 
 def real_roots_many(
@@ -138,14 +132,16 @@ def real_roots_many(
     k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0),
     tol: float = 1.0e-10,
     step: float | None = None,
+    jobs: int = 1,
 ) -> list[list[DiskEigenvalue]]:
     """The real eigenvalues of each point in (k_min, k_max], m = 0..m_max.
 
     Scans each det_m on a uniform grid of spacing ``step`` (default
     ``scan_step(tol)``), brackets sign changes, and refines by bisection to an
-    interval of width tol.  The points must share n: each mode's scan
-    evaluates the Bessel functions once for all of them (mode-outer,
-    point-inner), and each point's root list equals its one-point scan.
+    interval of width tol.  Each mode m is one task on a pool of ``jobs``
+    threads: it scans det_m for all points at once (see disk_determinant)
+    and bisects each point's brackets.  The modes merge in order, so each
+    point's root list equals its one-point scan at any ``jobs``.
     k_min must be positive: k = 0 is an analytic zero of every det_m with
     m >= 1 and never an eigenvalue.
     """
@@ -165,10 +161,12 @@ def real_roots_many(
         return []
     ks = np.arange(k_min, k_max + h, h)
     ks = ks[ks <= k_max]
-    outs: list[list[DiskEigenvalue]] = [[] for _ in points]
-    for m in range(m_max + 1):
+
+    def scan(m: int) -> list[list[DiskEigenvalue]]:
         mult = 1 if m == 0 else 2
-        for p, vals, out in zip(points, disk_determinant(m, ks, points), outs):
+        found: list[list[DiskEigenvalue]] = []
+        for p, vals in zip(points, disk_determinant(m, ks, points)):
+            out: list[DiskEigenvalue] = []
             sign = np.sign(vals)
             hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             for i in hits:
@@ -177,6 +175,11 @@ def real_roots_many(
                 out.append(DiskEigenvalue(complex(root), m, mult, residual))
             for i in np.nonzero(vals == 0.0)[0]:
                 out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
+            found.append(out)
+        return found
+
+    modes = _map(scan, range(m_max + 1), jobs)
+    outs = [[e for mode in modes for e in mode[i]] for i in range(len(points))]
     for out in outs:
         out.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
     return outs

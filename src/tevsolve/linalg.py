@@ -5,12 +5,16 @@ goes through these functions, which pin down the error behavior (singularity
 detection with the failing pivot index, convergence failures) and keep results
 deterministic for a fixed input.  Matrices here are dense and at most a few
 hundred rows, so multithreaded BLAS buys nothing; parallelism lives at the
-task level (contour nodes, sweep points).
+task level, in the one thread pool of :func:`_map`: Beyn's contour nodes and
+the trace ratios and SVDs after them, and the disk's angular modes.  The
+tasks spend their time in LAPACK and in the Amos Bessel routines, which
+release the GIL.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as _sla
@@ -101,3 +105,13 @@ def eig_dense(A) -> np.ndarray:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"QR eigenvalue iteration did not converge: {exc}") from exc
+
+
+def _map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], on a pool of ``jobs`` threads when jobs > 1 (order
+    kept).  The package's only pool: no task starts another, so at most ``jobs``
+    worker threads exist at any moment."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]

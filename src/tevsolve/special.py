@@ -6,12 +6,19 @@ the supported-range checks, integer-order conventions, and error mapping the
 rest of the package relies on.  All functions accept scalars or numpy arrays
 and are pure and reentrant.
 
+H^(1)_m goes through ``scipy.special.kv``, which releases the GIL, so that
+kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
+holds it.  Both call the same Amos K_m routine, and the rotation is done as
+Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
+
 Supported range: ``|z| <= 1e4`` and order ``|m| <= 60``, which comfortably
 covers every wavenumber the solvers visit (``k <= 10``, ``k*sqrt(n) <= 20``).
 Within ``|z| <= 50`` values are accurate to better than 1e-12 relative.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.special as _sp
@@ -99,4 +106,9 @@ def hankel1(m: int, z):
         )
     if np.any(np.real(z) <= 0):
         raise RangeError("hankel1 requires re(z) > 0")
-    return _finite_or_raise(_sp.hankel1(m, z), f"H1_{m}")
+    # H1_m(z) = (2/(pi i)) e^{-i m pi/2} K_m(-iz), the factor in Amos's real arithmetic
+    k = _sp.kv(m, -1j * z)
+    rhpi = -2.0 / math.pi
+    cr, ci = -rhpi * math.sin(-m * math.pi / 2), rhpi * math.cos(-m * math.pi / 2)
+    return _finite_or_raise(k.real * cr - k.imag * ci + 1j * (k.real * ci + k.imag * cr),
+                            f"H1_{m}")

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .beyn import BeynConfig, ContourSpec, NepEigenvalue, _map, beyn_solve
+from .beyn import BeynConfig, ContourSpec, NepEigenvalue, beyn_solve
 from .bie import HelmholtzNep
 from .disk import (
     DEFAULT_K_MIN,
@@ -41,6 +41,7 @@ from .disk import (
 )
 from .errors import ConfigError, NumericalError, TrackingLost
 from .geometry import parse_shape, sample
+from .linalg import _map
 from .materials import REGIME_OUTSIDE, MaterialParams
 
 logger = logging.getLogger(__name__)
@@ -98,7 +99,7 @@ class StudyConfig:
     grid_m: int = 0
     out: str | None = None
     fmt: str = "csv"
-    jobs: int = 0  # 0: use hardware parallelism
+    jobs: int = 0  # 0: one thread per CPU this process may run on
 
     def __post_init__(self):
         if self.method not in ("determinant", "bie"):
@@ -125,7 +126,11 @@ class StudyConfig:
 
     @property
     def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        if self.jobs > 0:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):  # honours taskset and container CPU sets
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +418,13 @@ def _real_values(eigs, imag_tol: float = REAL_IMAG_TOL) -> list[float]:
 def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
     """The distinct real eigenvalues at each point, in order.
 
-    The determinant path scans all points in one pass (they must share n);
-    the BIE path solves each point when its values are asked for.
+    The determinant path scans all points in one pass, its modes on the
+    pool; the BIE path solves each point when its values are asked for.
     """
     if cfg.method == "determinant":
         det = cfg.determinant
-        for eigs in real_roots_many(points, det.m_max, det.k_range, det.tol):
+        for eigs in real_roots_many(points, det.m_max, det.k_range, det.tol,
+                                    jobs=cfg.effective_jobs):
             yield _real_values(eigs, imag_tol=0.0)
         return
     nep = _nep_for(cfg, cfg.material)
@@ -434,16 +440,19 @@ def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[S
 
     Determinant path: real-axis bracketing over m <= m_max, plus a complex
     grid-and-Newton search per mode when a complex_region is configured
-    (duplicates merge per mode).  BIE path: Beyn solves over every configured
-    contour; copies of one eigenvalue from overlapping contours (within
-    10 * residual_tol) merge into the copy lying deepest inside its contour.
+    (duplicates merge per mode), both with their modes on the pool.  BIE
+    path: Beyn solves over every configured contour; copies of one eigenvalue
+    from overlapping contours (within 10 * residual_tol) merge into the copy
+    lying deepest inside its contour.
     """
     if cfg.method == "determinant":
         det = cfg.determinant
-        eigs = list(real_roots(cfg.material, det.m_max, det.k_range, det.tol))
+        jobs = cfg.effective_jobs
+        eigs = list(real_roots(cfg.material, det.m_max, det.k_range, det.tol, jobs=jobs))
         if det.complex_region is not None:
-            for m in range(det.m_max + 1):
-                extra = complex_roots(m, cfg.material, det.complex_region, det.complex_grid, det.tol)
+            search = partial(complex_roots, p=cfg.material, region=det.complex_region,
+                             grid=det.complex_grid, tol=det.tol)
+            for extra in _map(search, range(det.m_max + 1), jobs):
                 for e in extra:
                     if not any(
                         d.mode_m == e.mode_m and abs(d.k - e.k) < MERGE_TOL for d in eigs
@@ -590,24 +599,9 @@ def run_monotonicity_sweep(cfg: StudyConfig) -> SweepResult:
                 "sweep point %s=%g lies outside regimes A and B; computing anyway",
                 cfg.sweep_field, v,
             )
-    # determinant points that share n scan together, one group per pool task;
-    # BIE points form one group, solved one at a time on one operator so that
-    # each can use node-level parallelism
-    if cfg.method == "determinant":
-        by_n: dict[float, list[int]] = {}
-        for i, params in enumerate(points):
-            by_n.setdefault(params.n, []).append(i)
-        groups = list(by_n.values())
-    else:
-        groups = [list(range(len(points)))]
-    solved = _map(lambda group: list(_window_values(cfg, [points[i] for i in group])),
-                  groups, cfg.effective_jobs)
-    windows: list = [None] * len(points)
-    for group, values in zip(groups, solved):
-        for i, vals in zip(group, values):
-            windows[i] = tuple(vals[j] if j < len(vals) else None for j in range(3))
-
-    rows = tuple(SweepRow(v, ks) for v, ks in zip(cfg.sweep_values, windows))
+    windows = _window_values(cfg, points)
+    rows = tuple(SweepRow(v, tuple(vals[j] if j < len(vals) else None for j in range(3)))
+                 for v, vals in zip(cfg.sweep_values, windows))
     verdicts = tuple(
         _column_verdict([r.ks[j] for r in rows if r.ks[j] is not None]) for j in range(3)
     )

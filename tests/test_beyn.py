@@ -1,15 +1,21 @@
 """Contour-integral eigensolver: exact small problems, the disk boundary
 problem against published values, and robustness invariants."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from tevsolve import bie
 from tevsolve.beyn import BeynConfig, ContourSpec, NepEigenvalue, beyn_solve, residual
 from tevsolve.bie import HelmholtzNep
 from tevsolve.errors import CapacityExceeded, ConfigError
 from tevsolve.geometry import parse_shape, sample
 from tevsolve.materials import MaterialParams
 from tevsolve.testing import MatrixPolynomial, quadratic_matrix_poly
+
+
+EX34 = MaterialParams(4.0, -0.01, 2.0)
 
 
 class Scalar:
@@ -26,9 +32,7 @@ class Scalar:
 
 @pytest.fixture(scope="module")
 def disk_nep():
-    return HelmholtzNep(
-        sample(parse_shape("circle:r=1"), 120), MaterialParams(4.0, -0.01, 2.0)
-    )
+    return HelmholtzNep(sample(parse_shape("circle:r=1"), 120), EX34)
 
 
 class TestContourSpec:
@@ -143,10 +147,33 @@ class TestDiskBoundaryProblem:
             vals[nq] = min(out, key=lambda e: abs(e.k - 3.4567)).k
         assert abs(vals[24] - vals[48]) <= 1e-8
 
-    def test_jobs_do_not_change_results(self, disk_nep):
-        a = beyn_solve(disk_nep, ContourSpec(3.5, 0.5, 24), BeynConfig(), jobs=1)
-        b = beyn_solve(disk_nep, ContourSpec(3.5, 0.5, 24), BeynConfig(), jobs=4)
-        assert [e.k for e in a] == [e.k for e in b]
+    def test_jobs_do_not_change_results(self):
+        # simple, double and complex eigenvalues; a new operator (and trace-ratio
+        # cache) per run, so that every run builds its own matrices
+        s = sample(parse_shape("circle:r=1"), 64)
+        for center in (3.5, 2.2, 2.2 + 0.6j):
+            contour = ContourSpec(center, 0.5, 24)
+            runs = [beyn_solve(HelmholtzNep(s, EX34), contour, BeynConfig(), jobs=jobs)
+                    for jobs in (1, 2, 4)]
+            assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_trace_ratios_after_the_nodes_run_on_the_pool(self, monkeypatch):
+        # every trace ratio off the quadrature nodes waits for a second one, so
+        # the batches after the nodes must build them two at a time
+        nep = HelmholtzNep(sample(parse_shape("circle:r=1"), 64), EX34)
+        contour = ContourSpec(2.2 + 0.6j, 0.5, 24)
+        nodes = {k for z in map(complex, contour.nodes()) for k in (z, z * EX34.sqrt_n)}
+        barrier = threading.Barrier(2, timeout=30)
+        original = bie._trace_ratio
+
+        def paired(curve, k):
+            if k not in nodes:
+                barrier.wait()
+            return original(curve, k)
+
+        monkeypatch.setattr(bie, "_trace_ratio", paired)
+        out = beyn_solve(nep, contour, BeynConfig(), jobs=2)
+        assert len(out) == 1 and abs(out[0].k - (2.2032 + 0.2905j)) < 1e-3
 
     def test_residual_at_published_root(self, disk_nep):
         assert residual(disk_nep, 3.4567) <= 1e-3

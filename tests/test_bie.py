@@ -197,6 +197,24 @@ class TestHelmholtzNep:
         assert len(cache.entries) == 3
         assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
 
+    def test_prefetch_builds_each_trace_ratio_once(self, monkeypatch):
+        s = sample(parse_shape("circle:r=1"), 32)
+        built = []
+        original = bie._trace_ratio
+        monkeypatch.setattr(bie, "_trace_ratio", lambda curve, k: built.append(k) or
+                            original(curve, k))
+        zs = [1.5 + 0.1j, 1.7, 1.5 + 0.1j]
+        nep = HelmholtzNep(s, EX34)
+        nep.prefetch(zs, 2)
+        assert sorted(built, key=abs) == [1.5 + 0.1j, 1.7, 3.0 + 0.2j, 3.4]
+        for z in zs:
+            nep(z)
+        assert len(built) == 4
+        # four matrices do not fit in a budget of three: nothing is built ahead
+        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
+        HelmholtzNep(s, EX34).prefetch(zs, 2)
+        assert len(built) == 4
+
     def test_cache_shared_across_parameters(self):
         s = sample(parse_shape("circle:r=1"), 64)
         nep = HelmholtzNep(s, EX34)

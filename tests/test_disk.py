@@ -131,12 +131,41 @@ class TestSharedScan:
                 for row, p in zip(rows, points):
                     assert np.array_equal(row, disk_determinant(m, k, p))
 
-    def test_mixed_n_rejected(self):
-        points = [EX34, MaterialParams(3.0, -0.01, 2.0)]
-        with pytest.raises(ConfigError, match="share one n"):
-            disk_determinant(0, np.linspace(1.0, 2.0, 5), points)
-        with pytest.raises(ConfigError, match="share one n"):
-            real_roots_many(points, 0, (1.0, 2.0))
+    def test_mixed_n_rows_equal_one_point_values(self, monkeypatch):
+        points = [EX34, MaterialParams(3.0, -0.01, 2.0), MaterialParams(4.0, 1.0, 0.5),
+                  MaterialParams(0.25, -3.0, 2.0)]
+        calls = {"bessel_j": 0, "bessel_j_prime": 0}
+
+        def counted(name):
+            original = getattr(disk, name)
+
+            def call(m, z):
+                calls[name] += 1
+                return original(m, z)
+            return call
+
+        for k in (np.linspace(0.01, 10.0, 1001), 2.5 + 0.3j):
+            singles = [disk_determinant(2, k, p) for p in points]
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    patch.setattr(disk, name, counted(name))
+                rows = disk_determinant(2, k, points)
+            assert rows.shape == (len(points),) + np.shape(k)
+            assert all(np.array_equal(row, one) for row, one in zip(rows, singles))
+        # per call: once at k, once at k sqrt(n) for each of the 3 distinct n
+        assert calls == {"bessel_j": 2 * 4, "bessel_j_prime": 2 * 4}
+
+    def test_n_sweep_roots_do_not_depend_on_jobs(self):
+        # the two n sweeps of the disk-n-sweep benchmark: 9 points, 9 distinct n
+        for base, ns, k_range in ((MaterialParams(0.25, -3.0, 2.0), (1 / 6, 1 / 5, 1 / 4, 1 / 3),
+                                   (3.0, 8.0)),
+                                  (MaterialParams(4.0, 1.0, 0.5), (3.0, 4.0, 5.0, 6.0, 7.0),
+                                   (1.0, 5.0))):
+            points = [base.replace(n=n) for n in ns]
+            serial = real_roots_many(points, 8, k_range, jobs=1)
+            assert real_roots_many(points, 8, k_range, jobs=2) == serial
+            assert serial == [real_roots(p, 8, k_range, jobs=2) for p in points]
+            assert all(len(roots) >= 3 for roots in serial)
 
     def test_no_points(self):
         assert real_roots_many([], 2, (1.0, 2.0)) == []

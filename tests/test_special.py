@@ -171,6 +171,33 @@ class TestHankel1:
         with pytest.raises(RangeError):
             hankel1(2, 1.0)
 
+    def test_matches_scipy_hankel1(self):
+        import scipy.special as sp
+
+        rng = np.random.default_rng(7)
+        r = np.exp(rng.uniform(np.log(1e-8), np.log(50.0), 4000))
+        th = rng.uniform(-np.pi / 2, np.pi / 2, 4000)
+        # the right half-plane, the real axis, and re z -> 0+ on both sides
+        z = np.concatenate([r * np.exp(1j * th), r, 1e-300 + 1j * r, 1e-12 - 1j * r[:500]])
+        z = z[z.real > 0]
+        for m in (0, 1):
+            want = sp.hankel1(m, z)
+            assert np.all(np.abs(hankel1(m, z) - want) <= 2 * np.spacing(np.abs(want)))
+            for x in (1e-8, 1.0, 3, 2.5 + 0.3j, 1e-300 + 7j, 40.0 - 2.0j):
+                want = sp.hankel1(m, x)
+                assert abs(hankel1(m, x) - want) <= 2 * np.spacing(abs(want))
+
+    def test_errors_at_domain_edges(self):
+        for z in (0.0, 1e-9j + 1e-300, np.array([1.0, 5e-9])):
+            with pytest.raises(SingularityError):
+                hankel1(1, z)
+        for z in (3j, np.array([1.0, -1.0]), np.nan, 1.0 + np.inf * 1j, 2.0e4, 1.0 - 800j):
+            for m in (0, 1):
+                with pytest.raises(RangeError):
+                    hankel1(m, z)
+        with pytest.raises(RangeError):
+            hankel1(0.5, 1.0)
+
 
 class TestPositiveRoots:
     def test_first_roots_match_mpmath(self):

@@ -139,7 +139,7 @@ class TestMonotonicitySweep:
 
 
 class TestSharedScan:
-    """Determinant points that share n scan each mode once, together."""
+    """A study's determinant points scan each mode once, together."""
 
     @staticmethod
     def count_scans(monkeypatch):
@@ -161,7 +161,7 @@ class TestSharedScan:
         cfg = disk_cfg(material=MaterialParams(4.0, 1.0, 1.0),
                        determinant=DeterminantSettings(m_max=3, k_range=(2.0, 4.0)))
         run_convergence_study(cfg, side="below", p_max=3)
-        assert scans == [0, 1, 2, 3]
+        assert sorted(scans) == [0, 1, 2, 3]
 
     def test_eta_sweep_scans_each_mode_once(self, monkeypatch):
         scans = self.count_scans(monkeypatch)
@@ -169,7 +169,7 @@ class TestSharedScan:
                        determinant=DeterminantSettings(m_max=3, k_range=(1.0, 5.0)),
                        sweep_field="eta", sweep_values=(1.0, 2.0, 3.0), jobs=2)
         run_monotonicity_sweep(cfg)
-        assert scans == [0, 1, 2, 3]
+        assert sorted(scans) == [0, 1, 2, 3]
 
     def test_n_sweep_scans_each_point(self, monkeypatch):
         scans = self.count_scans(monkeypatch)
@@ -177,7 +177,7 @@ class TestSharedScan:
                        determinant=DeterminantSettings(m_max=1, k_range=(1.0, 5.0)),
                        sweep_field="n", sweep_values=(3.0, 4.0, 5.0), jobs=2)
         run_monotonicity_sweep(cfg)
-        assert sorted(scans) == [0, 0, 0, 1, 1, 1]
+        assert sorted(scans) == [0, 1]
 
     def test_tracking_lost_at_first_short_window(self):
         # the limit holds 3 eigenvalues in (2.76, 3.33); p = 1, 2 and 3 hold
@@ -197,6 +197,13 @@ class TestSpectrum:
         assert rows[1].re_k == pytest.approx(2.203160, abs=5e-6)
         assert rows[1].im_k == pytest.approx(-0.290468, abs=5e-6)
         assert {r.source for r in rows} == {"determinant"}
+
+    def test_complex_region_rows_do_not_depend_on_jobs(self):
+        det = DeterminantSettings(m_max=2, k_range=(0.01, 10.0),
+                                  complex_region=(0.0, 10.0, -1.0, 1.0))
+        serial = run_spectrum(disk_cfg(determinant=det, jobs=1))
+        assert run_spectrum(disk_cfg(determinant=det, jobs=2)) == serial
+        assert {r.mode_m for r in serial} == {0, 1, 2}
 
     def test_disk_first_nine_with_multiplicity(self):
         cfg = disk_cfg(determinant=DeterminantSettings(m_max=8, k_range=(0.01, 2.5)))
@@ -339,6 +346,16 @@ class TestConfig:
                     {"converge": {"p_max": -2}}, {"jobs": -4}):
             with pytest.raises(ConfigError):
                 config_from_dict(doc)
+
+    def test_default_jobs_follow_cpu_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert StudyConfig().effective_jobs == 2
+        assert StudyConfig(jobs=5).effective_jobs == 5
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert StudyConfig().effective_jobs == 64
 
     def test_missing_sweep_field_named(self):
         with pytest.raises(ConfigError, match="missing key sweep.field"):
