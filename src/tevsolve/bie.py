@@ -33,8 +33,6 @@ invertible); an LU pivot failure there raises InteriorResonance.
 from __future__ import annotations
 
 import copy
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +46,8 @@ from .special import bessel_j, hankel1
 
 EULER_GAMMA = 0.57721566490153286061
 MIN_NODES = 16
-CACHE_BYTES = 192 * 1024 * 1024  # trace-ratio cache budget of one HelmholtzNep and its copies
+# trace-ratio cache budget of one HelmholtzNep and its copies: 192 MiB // 16 N^2 matrices
+CACHE_BYTES = 192 * 1024 * 1024
 
 
 @lru_cache(maxsize=32)
@@ -148,48 +147,22 @@ def _trace_ratio(sample: CurveSample, k: complex) -> np.ndarray:
         raise InteriorResonance(k) from exc
 
 
-class _TraceRatioCache:
-    """Trace-ratio matrices P(k) of one curve sample by wavenumber, least
-    recently used first out once they hold more than CACHE_BYTES; one lock
-    guards the map and its byte count."""
-
-    def __init__(self, sample: CurveSample):
-        self.sample = sample
-        self.entries: OrderedDict[complex, np.ndarray] = OrderedDict()
-        self.nbytes = 0
-        self.lock = threading.Lock()
-
-    def get(self, k: complex) -> np.ndarray:
-        with self.lock:
-            hit = self.entries.get(k)
-            if hit is not None:
-                self.entries.move_to_end(k)
-                return hit
-        value = _trace_ratio(self.sample, k)
-        with self.lock:
-            if k not in self.entries:
-                self.entries[k] = value
-                self.nbytes += value.nbytes
-                while self.nbytes > CACHE_BYTES and len(self.entries) > 1:
-                    _, old = self.entries.popitem(last=False)
-                    self.nbytes -= old.nbytes
-        return value
-
-
 class HelmholtzNep:
     """Callable z -> M(z) for a fixed curve sample and material parameters.
 
     Caches the trace-ratio matrices P(k) per wavenumber (the dominant cost:
     two assemblies plus an LU), so sweeps that revisit the same contour nodes
     with different (lam, eta) or with a second sqrt(n) factor reuse them.  The
-    copies made by with_params share one cache, bounded by CACHE_BYTES in all
-    and safe for concurrent callers.
+    cache is a thread-safe functools.lru_cache of CACHE_BYTES // (16 N^2)
+    matrices (at least one), shared by the copies that with_params makes.
     """
 
     def __init__(self, sample: CurveSample, params: MaterialParams):
         self.sample = sample
         self.params = params
-        self._cache = _TraceRatioCache(sample)
+        # _trace_ratio is looked up per call, so a patched one takes effect
+        self._cache = lru_cache(maxsize=max(1, CACHE_BYTES // (16 * sample.n**2)))(
+            lambda k: _trace_ratio(sample, k))
 
     @property
     def dim(self) -> int:
@@ -204,8 +177,8 @@ class HelmholtzNep:
     def __call__(self, z: complex) -> np.ndarray:
         z = _check_wavenumber(z)
         p = self.params
-        P_w = self._cache.get(z * p.sqrt_n)
-        P_v = self._cache.get(z)
+        P_w = self._cache(z * p.sqrt_n)
+        P_v = self._cache(z)
         return p.lam * P_w - P_v - p.eta * np.eye(self.dim)
 
     def prefetch(self, zs, jobs: int) -> None:
@@ -213,5 +186,5 @@ class HelmholtzNep:
         threads, each wavenumber once, unless they overflow the cache together."""
         ks = list(dict.fromkeys(k for z in map(_check_wavenumber, zs)
                                 for k in (z * self.params.sqrt_n, z)))
-        if len(ks) * self.dim**2 * np.dtype(complex).itemsize <= CACHE_BYTES:
-            _map(self._cache.get, ks, jobs)
+        if len(ks) <= self._cache.cache_info().maxsize:
+            _map(self._cache, ks, jobs)

@@ -29,6 +29,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 from .linalg import _map
@@ -189,7 +190,7 @@ def complex_roots(
     m: int,
     p: MaterialParams,
     region: tuple[float, float, float, float],
-    grid: tuple[int, int] | int = (201, 81),
+    grid: tuple[int, int] = (201, 81),
     tol: float = 1.0e-10,
 ) -> list[DiskEigenvalue]:
     """Complex eigenvalues of mode m inside the rectangle region.
@@ -206,23 +207,14 @@ def complex_roots(
         raise ConfigError(f"degenerate region {region}")
     if re1 <= 0:
         raise ConfigError("search region must intersect the right half-plane")
-    nx, ny = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
+    nx, ny = map(int, grid)
     if nx < 3 or ny < 3:
         raise ConfigError("grid must be at least 3x3 to detect interior minima")
-    re = np.linspace(max(re0, 1.0e-6), re1, nx)
-    im = np.linspace(im0, im1, ny)
-    kk = re[None, :] + 1j * im[:, None]
-    absd = np.abs(np.asarray(disk_determinant(m, kk, p)))
-
+    re, im, absd = determinant_grid(m, p, (max(re0, 1.0e-6), re1, im0, im1), nx, ny)
     interior = absd[1:-1, 1:-1]
-    neighbors = np.stack(
-        [
-            absd[:-2, 1:-1], absd[2:, 1:-1], absd[1:-1, :-2], absd[1:-1, 2:],
-            absd[:-2, :-2], absd[:-2, 2:], absd[2:, :-2], absd[2:, 2:],
-        ]
-    )
-    is_min = np.all(interior <= neighbors, axis=0) & (interior < np.inf)
-    seeds = kk[1:-1, 1:-1][is_min]
+    is_min = (interior == sliding_window_view(absd, (3, 3)).min(axis=(2, 3))) & (interior < np.inf)
+    i, j = np.nonzero(is_min)
+    seeds = re[1:-1][i] + 1j * im[1:-1][j]
 
     roots: list[complex] = []
     for seed in seeds:

@@ -183,19 +183,32 @@ class TestHelmholtzNep:
         assert np.allclose(nep(z), ref, atol=1e-13)
 
     def test_cache_budget_shared_by_copies(self, monkeypatch):
+        # the budget holds across copies: three matrices fit, the oldest goes
+        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
         s = sample(parse_shape("circle:r=1"), 32)
         nep = HelmholtzNep(s, EX34)
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
         other(1.5)
         nep(1.7)
-        cache = nep._cache
-        assert len(cache.entries) == 4
-        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
-        # the budget holds across copies: three matrices fit, the oldest goes
-        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
+        assert nep._cache.cache_info().currsize == 3
         other(1.9)
-        assert len(cache.entries) == 3
-        assert cache.nbytes == sum(v.nbytes for v in cache.entries.values())
+        assert nep._cache.cache_info().currsize == 3
+
+    def test_cache_hit_refreshes_entry(self, monkeypatch):
+        # with room for three, a hit on A makes B the least recently used
+        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
+        built = []
+        original = bie._trace_ratio
+        monkeypatch.setattr(bie, "_trace_ratio", lambda curve, k: built.append(k) or
+                            original(curve, k))
+        cache = HelmholtzNep(sample(parse_shape("circle:r=1"), 32), EX34)._cache
+        for k in (1.1, 1.2, 1.3, 1.1, 1.4):
+            cache(k)
+        assert built == [1.1, 1.2, 1.3, 1.4]
+        cache(1.1)
+        assert len(built) == 4
+        cache(1.2)
+        assert built[4:] == [1.2]
 
     def test_prefetch_builds_each_trace_ratio_once(self, monkeypatch):
         s = sample(parse_shape("circle:r=1"), 32)
