@@ -11,6 +11,9 @@ kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
 holds it.  Both call the same Amos K_m routine, and the rotation is done as
 Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 
+``bessel_j`` and ``hankel1`` evaluate a symmetric square matrix argument, such
+as the node distances of an assembly, on its N(N+1)/2 upper-triangle entries.
+
 Supported range: ``|z| <= 1e4`` and order ``|m| <= 60``, which comfortably
 covers every wavenumber the solvers visit (``k <= 10``, ``k*sqrt(n) <= 20``).
 Within ``|z| <= 50`` values are accurate to better than 1e-12 relative.
@@ -19,6 +22,7 @@ Within ``|z| <= 50`` values are accurate to better than 1e-12 relative.
 from __future__ import annotations
 
 import math
+from functools import lru_cache, wraps
 
 import numpy as np
 import scipy.special as _sp
@@ -54,6 +58,30 @@ def _finite_or_raise(value, what: str):
     return value
 
 
+@lru_cache(maxsize=32)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n)  # read-only: every caller shares them
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _fold_symmetric(kernel):
+    """kernel(m, z) on the upper triangle of a symmetric square z, mirrored;
+    any other z goes straight through.  The values are bitwise those of kernel."""
+    @wraps(kernel)
+    def folded(m, z):
+        z = np.asarray(z)
+        if z.ndim != 2 or not np.array_equal(z, z.T):  # unequal shapes are unequal
+            return kernel(m, z)
+        rows, cols = _upper_triangle(z.shape[0])
+        upper = kernel(m, z[rows, cols])
+        out = np.empty(z.shape, upper.dtype)
+        out[rows, cols] = out[cols, rows] = upper
+        return out
+    return folded
+
+
+@_fold_symmetric
 def bessel_j(m: int, z):
     """Bessel function of the first kind J_m(z), integer order.
 
@@ -89,6 +117,7 @@ def bessel_j_second(m: int, z):
     return _finite_or_raise(sign * _sp.jvp(m, z, n=2), f"J''_{m}")
 
 
+@_fold_symmetric
 def hankel1(m: int, z):
     """Hankel function of the first kind H^(1)_m(z) for m in {0, 1}.
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from tevsolve import bie, linalg
+from tevsolve import bie, linalg, special
 from tevsolve.bie import (
     HelmholtzNep,
     assemble_adjoint_double_layer,
@@ -119,6 +119,28 @@ class TestQuadratureData:
         assert s.chords is s.chords  # built once per sample
         for cached in (*s.chords, *bie._log_quadrature(s.n)):
             assert not cached.flags.writeable
+
+
+class TestSymmetricKernels:
+    @pytest.mark.parametrize("shape, n", [("ellipse:a=1,b=1.2", 120), ("ellipse:a=1,b=1.2", 240),
+                                          ("kite", 64), ("circle:r=1", 240)])
+    def test_fold_leaves_operators_bitwise_equal(self, shape, n, monkeypatch):
+        s = sample(parse_shape(shape), n)
+        # the kernels fold only a bitwise symmetric argument
+        assert np.array_equal(s.chords[0], s.chords[0].T)
+        ks = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j)
+
+        def operators():
+            nep = HelmholtzNep(s, EX34)
+            return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k), nep(k))
+                    for k in ks]
+
+        folded = operators()
+        monkeypatch.setattr(bie, "hankel1", special.hankel1.__wrapped__)
+        monkeypatch.setattr(bie, "bessel_j", special.bessel_j.__wrapped__)
+        for with_fold, without in zip(folded, operators()):
+            for a, b in zip(with_fold, without):
+                assert np.array_equal(a, b)
 
 
 class TestAssembleM:

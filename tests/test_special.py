@@ -3,7 +3,9 @@
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 
+from tevsolve import special
 from tevsolve.errors import RangeError, SingularityError
 from tevsolve.special import (
     bessel_j,
@@ -197,6 +199,63 @@ class TestHankel1:
                     hankel1(m, z)
         with pytest.raises(RangeError):
             hankel1(0.5, 1.0)
+
+
+def _symmetric(n, seed=11):
+    # a + a.T is bitwise symmetric (IEEE addition commutes); re > 0 for hankel1
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 6.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    return a + a.T
+
+
+class TestSymmetricFold:
+    KERNELS = ((hankel1, sp.hankel1), (bessel_j, sp.jv))
+
+    def test_bitwise_equal_to_scipy_on_every_shape(self):
+        rng = np.random.default_rng(12)
+        z = _symmetric(9)
+        assert np.array_equal(z, z.T)
+        inputs = (z, z.real, z + np.triu(np.full((9, 9), 1e-3)), rng.uniform(0.1, 5.0, (6, 6)),
+                  z[:, :7], z[2], z[3, 4])
+        for ours, scipy_kernel in self.KERNELS:
+            for m in (0, 1):
+                for x in inputs:
+                    got, want = np.asarray(ours(m, x)), scipy_kernel(m, x)
+                    assert got.shape == np.shape(x) and got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+    def test_symmetric_input_evaluates_the_upper_triangle(self, monkeypatch):
+        points = []
+        for name in ("kv", "jv"):
+            amos = getattr(sp, name)
+            monkeypatch.setattr(special._sp, name,
+                                lambda m, z, amos=amos: points.append(np.size(z)) or amos(m, z))
+        z = _symmetric(12)
+        for kernel in (hankel1, bessel_j):
+            for m in (0, 1):
+                points.clear()
+                kernel(m, z)
+                assert points == [12 * 13 // 2]
+                points.clear()
+                kernel(m, z + np.triu(np.full((12, 12), 1e-3), 1))
+                assert points == [144]
+
+    def test_errors_in_one_off_diagonal_pair(self):
+        cases = (
+            (-0.5 + 0.1j, (hankel1,), RangeError),         # re z <= 0
+            (5e-9, (hankel1,), SingularityError),          # |z| < 1e-8
+            (np.nan, (hankel1, bessel_j), RangeError),
+            (np.inf + 1j, (hankel1, bessel_j), RangeError),
+            (2.0e4, (hankel1, bessel_j), RangeError),      # |z| > 1e4
+            (1.0 - 800j, (bessel_j,), RangeError),         # J overflows
+        )
+        for bad, kernels, error in cases:
+            z = _symmetric(6)
+            z[1, 4] = z[4, 1] = bad
+            for kernel in kernels:
+                for m in (0, 1):
+                    with pytest.raises(error), np.errstate(invalid="ignore"):
+                        kernel(m, z)
 
 
 class TestPositiveRoots:
