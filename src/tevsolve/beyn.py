@@ -176,7 +176,7 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     noise_floor = _NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale * gross
 
     U, s, W = linalg.svd(a0)
-    cut = max(cfg.rank_tol * (s[0] if s.size else 0.0), noise_floor)
+    cut = max(cfg.rank_tol * s[0], noise_floor)
     rank = int(np.sum(s > cut))
     if rank == 0:
         return []

@@ -94,11 +94,6 @@ def disk_determinant_prime(m: int, k, p: MaterialParams):
     return -ap * b - a * bp + cp * d + c * dp
 
 
-def scan_step(tol: float) -> float:
-    """Bracketing scan step: min(0.01, tol * 1e6), floored at 1e-4."""
-    return min(_SCAN_STEP_CAP, max(tol * 1.0e6, _SCAN_STEP_FLOOR))
-
-
 def _bisect(m: int, a: float, b: float, fa: float, p: MaterialParams, tol: float) -> float:
     while b - a > tol:
         c = 0.5 * (a + b)
@@ -138,11 +133,12 @@ def real_roots_many(
     """The real eigenvalues of each point in (k_min, k_max], m = 0..m_max.
 
     Scans each det_m on a uniform grid of spacing ``step`` (default
-    ``scan_step(tol)``), brackets sign changes, and refines by bisection to an
-    interval of width tol.  Each mode m is one task on a pool of ``jobs``
-    threads: it scans det_m for all points at once (see disk_determinant)
-    and bisects each point's brackets.  The modes merge in order, so each
-    point's root list equals its one-point scan at any ``jobs``.
+    min(0.01, tol * 1e6), floored at 1e-4), brackets sign changes, and
+    refines by bisection to an interval of width tol.  Each mode m is one
+    task on a pool of ``jobs`` threads: it scans det_m for all points at
+    once (see disk_determinant) and bisects each point's brackets.  The
+    modes merge in order, so each point's root list equals its one-point
+    scan at any ``jobs``.
     k_min must be positive: k = 0 is an analytic zero of every det_m with
     m >= 1 and never an eigenvalue.
     """
@@ -154,7 +150,7 @@ def real_roots_many(
     if not 0 <= m_max <= MAX_ORDER:
         raise ConfigError(f"m_max must be in 0..{MAX_ORDER}, the supported Bessel orders, "
                           f"got {m_max}")
-    h = step if step is not None else scan_step(tol)
+    h = step if step is not None else min(_SCAN_STEP_CAP, max(tol * 1.0e6, _SCAN_STEP_FLOOR))
     if h <= 0:
         raise ConfigError(f"scan step must be positive, got {h}")
     points = list(points)

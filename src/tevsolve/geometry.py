@@ -105,35 +105,29 @@ def make_curve(kind: str, **params) -> BoundaryCurve:
     zero = (0.0,)
     if kind == "circle":
         r = float(params.pop("r", 1.0))
-        if params:
-            raise ConfigError(f"unknown circle parameters {sorted(params)}")
         if r <= 0:
             raise ConfigError("circle radius must be positive")
         c = BoundaryCurve("circle", (0.0, r), zero * 2, zero * 2, (0.0, r))
     elif kind == "ellipse":
         a = float(params.pop("a", 1.0))
         b = float(params.pop("b", 1.0))
-        if params:
-            raise ConfigError(f"unknown ellipse parameters {sorted(params)}")
         if a <= 0 or b <= 0:
             raise ConfigError("ellipse semi-axes must be positive")
         c = BoundaryCurve("ellipse", (0.0, a), zero * 2, zero * 2, (0.0, b))
     elif kind == "kite":
-        if params:
-            raise ConfigError(f"unknown kite parameters {sorted(params)}")
         c = BoundaryCurve("kite", (0.0, 0.75, 0.3), zero * 3, zero * 3, (0.0, 1.0, 0.0))
     elif kind == "trig":
         try:
             coeffs = [tuple(float(v) for v in params.pop(key)) for key in ("xc", "xs", "yc", "ys")]
         except KeyError as exc:
             raise ConfigError(f"trig curve requires coefficient sequences xc, xs, yc, ys") from exc
-        if params:
-            raise ConfigError(f"unknown trig parameters {sorted(params)}")
         width = max(len(c) for c in coeffs)
         coeffs = [c + (0.0,) * (width - len(c)) for c in coeffs]
         c = BoundaryCurve("trig", *coeffs)
     else:
         raise ConfigError(f"unknown curve kind {kind!r}")
+    if params:
+        raise ConfigError(f"unknown {kind} parameters {sorted(params)}")
     return _validate(c)
 
 

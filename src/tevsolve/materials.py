@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,4 @@ class MaterialParams:
         return REGIME_OUTSIDE
 
     def replace(self, **kwargs) -> "MaterialParams":
-        data = {"n": self.n, "eta": self.eta, "lam": self.lam}
-        data.update(kwargs)
-        return MaterialParams(**data)
+        return dataclasses.replace(self, **kwargs)

@@ -19,7 +19,7 @@ from .geometry import parse_shape, sample
 from .materials import MaterialParams
 from .special import bessel_j, bessel_j_prime
 from .studies import read_table_csv, spectrum_table, write_table, SpectrumRow
-from .testing import circle_mode_symbol, quadratic_matrix_poly
+from .testing import quadratic_matrix_poly
 
 
 @dataclass(frozen=True)

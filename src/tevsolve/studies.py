@@ -405,9 +405,9 @@ def _contour_depth(e: NepEigenvalue) -> float:
     return abs(e.k - e.contour.center) / e.contour.radius
 
 
-def _real_values(eigs, imag_tol: float = REAL_IMAG_TOL) -> list[float]:
+def _real_values(eigs) -> list[float]:
     """Distinct real-classified eigenvalue locations, ascending."""
-    vals = sorted(e.k.real for e in eigs if abs(e.k.imag) <= imag_tol)
+    vals = sorted(e.k.real for e in eigs if abs(e.k.imag) <= REAL_IMAG_TOL)
     out: list[float] = []
     for v in vals:
         if not out or v - out[-1] > DISTINCT_TOL:
@@ -425,7 +425,7 @@ def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
         det = cfg.determinant
         for eigs in real_roots_many(points, det.m_max, det.k_range, det.tol,
                                     jobs=cfg.effective_jobs):
-            yield _real_values(eigs, imag_tol=0.0)
+            yield _real_values(eigs)
         return
     nep = _nep_for(cfg, cfg.material)
     for params in points:

@@ -1,5 +1,7 @@
 """Special-function kernel against arbitrary-precision oracles (mpmath)."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -83,6 +85,9 @@ class TestBesselJ:
             bessel_j(0, np.nan)
         with pytest.raises(RangeError):
             bessel_j(0.5, 1.0)
+        for m in (np.nan, np.inf, -np.inf):
+            with pytest.raises(RangeError):
+                bessel_j(m, 1.0)
 
 
 class TestBesselJPrime:
@@ -118,6 +123,15 @@ class TestBesselJPrime:
                 + (z**2 - m**2) * bessel_j(m, z)
             )
             assert abs(resid) <= 1e-12 * max(1.0, abs(z) ** 2)
+
+    def test_overflow_raises_range_error_not_a_warning(self):
+        # J_m(1 - 800j) ~ e^800 overflows; the reflection of m = -3 must not warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (bessel_j, bessel_j_prime, bessel_j_second):
+                for m in (0, -3):
+                    with pytest.raises(RangeError):
+                        kernel(m, 1.0 - 800j)
 
 
 class TestHankel1:
@@ -254,7 +268,7 @@ class TestSymmetricFold:
             z[1, 4] = z[4, 1] = bad
             for kernel in kernels:
                 for m in (0, 1):
-                    with pytest.raises(error), np.errstate(invalid="ignore"):
+                    with pytest.raises(error):
                         kernel(m, z)
 
 

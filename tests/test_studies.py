@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,41 @@ class TestSharedScan:
                        determinant=DeterminantSettings(m_max=3, k_range=(2.76, 3.33)))
         with pytest.raises(TrackingLost, match="lambda = 1.5 holds 1 eigenvalues"):
             run_convergence_study(cfg, side="above", p_max=3)
+
+
+def method_pair(material, contour, **kw):
+    """The same study on the determinant path over the contour's real
+    diameter, and on the BIE path (circle, N = 64) inside the contour."""
+    lo, hi = contour.center.real - contour.radius, contour.center.real + contour.radius
+    det = StudyConfig(material=material, method="determinant",
+                      determinant=DeterminantSettings(m_max=10, k_range=(lo, hi)), **kw)
+    return det, replace(det, method="bie", bie=BieSettings(nodes=64, contours=(contour,)))
+
+
+class TestCrossMethod:
+    # the BIE accuracy the circle tests hold Beyn to at N = 64
+    TOL = 1e-3
+
+    def test_lambda_study_agrees(self):
+        det, bie = method_pair(MaterialParams(4.0, 1.0, 1.0), ContourSpec(3.05, 0.55, 24))
+        want, got = (run_convergence_study(c, side="below", p_max=2) for c in (det, bie))
+        assert got.limits == pytest.approx(want.limits, abs=self.TOL)
+        assert len(got.rows) == len(want.rows) == 2
+        for g, w in zip(got.rows, want.rows):
+            assert (g.p, g.lam, g.note) == (w.p, w.lam, w.note)
+            assert g.ks == pytest.approx(w.ks, abs=self.TOL)
+        assert got.rows[0].eocs == want.rows[0].eocs == (None, None, None)
+        assert got.rows[1].eocs == pytest.approx(want.rows[1].eocs, abs=1e-2)
+
+    def test_n_sweep_agrees(self):
+        det, bie = method_pair(MaterialParams(4.0, 1.0, 0.5), ContourSpec(2.75, 0.65, 24),
+                               sweep_field="n", sweep_values=(4.0, 4.5, 5.0))
+        want, got = run_monotonicity_sweep(det), run_monotonicity_sweep(bie)
+        assert got.verdicts == want.verdicts == ("descending",) * 3
+        assert [r.param for r in got.rows] == [r.param for r in want.rows]
+        for g, w in zip(got.rows, want.rows):
+            assert g.complete and w.complete
+            assert g.ks == pytest.approx(w.ks, abs=self.TOL)
 
 
 class TestSpectrum:
