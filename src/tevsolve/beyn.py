@@ -159,7 +159,7 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     phases = np.exp(1j * contour.angles())
 
     def solve_node(j: int) -> np.ndarray:
-        return linalg.lu_solve(nep(nodes[j]), V)
+        return linalg.lu_apply(linalg.lu_factor(nep(nodes[j])), V)
 
     sols = _map(solve_node, range(len(nodes)), jobs)
 

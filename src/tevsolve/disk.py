@@ -112,14 +112,13 @@ def real_roots(
     m_max: int = DEFAULT_M_MAX,
     k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0),
     tol: float = 1.0e-10,
-    step: float | None = None,
     jobs: int = 1,
 ) -> list[DiskEigenvalue]:
     """All real eigenvalues in (k_min, k_max] over modes m = 0..m_max.
 
     The one-point case of :func:`real_roots_many`.
     """
-    return real_roots_many([p], m_max, k_range, tol, step, jobs)[0]
+    return real_roots_many([p], m_max, k_range, tol, jobs)[0]
 
 
 def real_roots_many(
@@ -127,14 +126,13 @@ def real_roots_many(
     m_max: int = DEFAULT_M_MAX,
     k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0),
     tol: float = 1.0e-10,
-    step: float | None = None,
     jobs: int = 1,
 ) -> list[list[DiskEigenvalue]]:
     """The real eigenvalues of each point in (k_min, k_max], m = 0..m_max.
 
-    Scans each det_m on a uniform grid of spacing ``step`` (default
-    min(0.01, tol * 1e6), floored at 1e-4), brackets sign changes, and
-    refines by bisection to an interval of width tol.  Each mode m is one
+    Scans each det_m on a uniform grid of spacing min(0.01, tol * 1e6),
+    floored at 1e-4, brackets sign changes, and refines by bisection to an
+    interval of width tol.  Each mode m is one
     task on a pool of ``jobs`` threads: it scans det_m for all points at
     once (see disk_determinant) and bisects each point's brackets.  The
     modes merge in order, so each point's root list equals its one-point
@@ -150,9 +148,7 @@ def real_roots_many(
     if not 0 <= m_max <= MAX_ORDER:
         raise ConfigError(f"m_max must be in 0..{MAX_ORDER}, the supported Bessel orders, "
                           f"got {m_max}")
-    h = step if step is not None else min(_SCAN_STEP_CAP, max(tol * 1.0e6, _SCAN_STEP_FLOOR))
-    if h <= 0:
-        raise ConfigError(f"scan step must be positive, got {h}")
+    h = min(_SCAN_STEP_CAP, max(tol * 1.0e6, _SCAN_STEP_FLOOR))
     points = list(points)
     if not points:
         return []

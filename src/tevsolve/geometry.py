@@ -1,8 +1,9 @@
 """Smooth closed parametric boundary curves and their equispaced samplings.
 
-Curves are 2*pi-periodic trigonometric maps t -> (x(t), y(t)) with analytic
-first and second derivatives (no finite differencing).  The built-in shapes
-are the unit-scale circle, the axis-aligned ellipse, and the kite
+Curves are 2*pi-periodic trigonometric maps t -> (x(t), y(t)).  Their
+derivatives are analytic (no finite differencing), by one rule: d/dt takes
+the coefficient pair (c, s) of cos jt, sin jt to (j s, -j c).  The built-in
+shapes are the unit-scale circle, the axis-aligned ellipse, and the kite
 (0.75 cos t + 0.3 cos 2t, sin t); arbitrary trigonometric-polynomial curves
 are accepted through :func:`make_curve` and are checked for regularity and
 positive orientation on construction.
@@ -38,13 +39,16 @@ class BoundaryCurve:
 
     def _eval(self, t, derivative: int):
         t = np.asarray(t, dtype=float)
-        x = np.zeros_like(t)
-        y = np.zeros_like(t)
-        for j, (cx, sx) in enumerate(zip(self.xc, self.xs)):
-            x = x + _trig_term(cx, sx, j, t, derivative)
-        for j, (cy, sy) in enumerate(zip(self.yc, self.ys)):
-            y = y + _trig_term(cy, sy, j, t, derivative)
-        return np.stack([x, y], axis=-1)
+        xy = []
+        for cos_row, sin_row in ((self.xc, self.xs), (self.yc, self.ys)):
+            v = np.zeros_like(t)
+            for j, (c, s) in enumerate(zip(cos_row, sin_row)):
+                for _ in range(derivative):
+                    c, s = j * s, -j * c
+                if c or s:
+                    v = v + (c * np.cos(j * t) + s * np.sin(j * t))
+            xy.append(v)
+        return np.stack(xy, axis=-1)
 
     def point(self, t):
         return self._eval(t, 0)
@@ -54,18 +58,6 @@ class BoundaryCurve:
 
     def second_derivative(self, t):
         return self._eval(t, 2)
-
-
-def _trig_term(c: float, s: float, j: int, t, derivative: int):
-    if c == 0.0 and s == 0.0:
-        return 0.0
-    if derivative == 0:
-        return c * np.cos(j * t) + s * np.sin(j * t)
-    if derivative == 1:
-        return j * (-c * np.sin(j * t) + s * np.cos(j * t))
-    if derivative == 2:
-        return -j * j * (c * np.cos(j * t) + s * np.sin(j * t))
-    raise ValueError(f"unsupported derivative order {derivative}")
 
 
 def _validate(curve: BoundaryCurve) -> BoundaryCurve:
@@ -158,11 +150,9 @@ class CurveSample:
     to share across threads; samples compare by identity.
     """
 
-    curve: BoundaryCurve
     n: int
     t: np.ndarray
     points: np.ndarray
-    tangents: np.ndarray
     speeds: np.ndarray
     normals: np.ndarray
     curvatures: np.ndarray
@@ -192,7 +182,6 @@ def sample(curve: BoundaryCurve, n: int) -> CurveSample:
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if np.any(speed <= _MIN_SPEED):
         raise GeometryError("degenerate node speed; curve fails regularity at a node")
-    tangents = d1 / speed[:, None]
     normals = np.stack([d1[:, 1], -d1[:, 0]], axis=-1) / speed[:, None]
     curv = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
-    return CurveSample(curve, n, t, p, tangents, speed, normals, curv)
+    return CurveSample(n, t, p, speed, normals, curv)

@@ -22,7 +22,6 @@ import scipy.linalg as _sla
 from .errors import NumericalFailure, SingularMatrix
 
 PIVOT_RTOL = 1.0e-14
-EIG_MAX_SIZE = 64
 
 
 def _as_square(A) -> np.ndarray:
@@ -61,14 +60,6 @@ def lu_apply(factors, B, trans: int = 0) -> np.ndarray:
     return _sla.lu_solve(factors, B, trans=trans, check_finite=False)
 
 
-def lu_solve(A, B) -> np.ndarray:
-    """Solve A X = B by partially pivoted LU.  B may have any column count."""
-    B = np.asarray(B)
-    if B.shape[0] != np.asarray(A).shape[0]:
-        raise ValueError(f"shape mismatch: A is {np.asarray(A).shape}, B is {B.shape}")
-    return lu_apply(lu_factor(A), B)
-
-
 def solve_right(B, A, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
     """Solve X A = B, i.e. X = B A^{-1}, via one LU of A and a transposed solve."""
     X_t = lu_apply(lu_factor(A, pivot_rtol=pivot_rtol), np.asarray(B).T, trans=1)
@@ -97,10 +88,9 @@ def singular_values(A) -> np.ndarray:
 
 
 def eig_dense(A) -> np.ndarray:
-    """Eigenvalues of a small (<= 64 x 64) dense matrix, as an unordered multiset."""
+    """Eigenvalues of a dense square matrix of any size (Beyn's reduced matrix
+    is rank x rank), as an unordered multiset."""
     A = _as_square(A)
-    if A.shape[0] > EIG_MAX_SIZE:
-        raise ValueError(f"eig_dense limited to size {EIG_MAX_SIZE}, got {A.shape[0]}")
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:

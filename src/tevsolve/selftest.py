@@ -17,7 +17,7 @@ from .beyn import BeynConfig, ContourSpec, beyn_solve
 from .bie import HelmholtzNep, assemble_single_layer, neumann_trace_matrix
 from .geometry import parse_shape, sample
 from .materials import MaterialParams
-from .special import bessel_j, bessel_j_prime
+from .special import bessel_j, hankel1
 from .studies import read_table_csv, spectrum_table, write_table, SpectrumRow
 from .testing import quadratic_matrix_poly
 
@@ -51,12 +51,11 @@ def _bessel_identities() -> str:
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst <= 1e-10, f"three-term recurrence error {worst:.2e} > 1e-10"
-    # Wronskian J0(x) Y0'(x) - J0'(x) Y0(x) = 2/(pi x)
-    import scipy.special as sp
-
-    x = 3.0
-    w = sp.jv(0, x) * sp.yvp(0, x) - sp.jvp(0, x) * sp.yv(0, x)
-    err = abs(w - 2.0 / (np.pi * x))
+    # Wronskian J1 H0 - J0 H1 = 2i / (pi z) in the right half-plane, relative
+    # to the larger product (they grow like exp(2 |im z|) below the real axis)
+    z = rng.uniform(0.1, 50, 200) * np.exp(1j * rng.uniform(-1.5, 1.5, 200))
+    a, b = bessel_j(1, z) * hankel1(0, z), bessel_j(0, z) * hankel1(1, z)
+    err = float(np.max(np.abs(a - b - 2j / (np.pi * z)) / np.maximum(np.abs(a), np.abs(b))))
     assert err <= 1e-12, f"Wronskian error {err:.2e} > 1e-12"
     return f"recurrence {worst:.1e}, Wronskian {err:.1e}"
 

@@ -56,9 +56,9 @@ DISTINCT_TOL = 1.0e-9      # distinct-k tolerance for table columns
 # ---------------------------------------------------------------------------
 def _parse_mu(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_real(value))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0]), _real(value[1]))
     if isinstance(value, str):
         try:
             return complex(value.replace("i", "j").replace(" ", ""))
@@ -177,7 +177,24 @@ def _text(value) -> str:
     return value
 
 
-def _numbers(count: int | None = None, kind=float):
+def _real(value) -> float:
+    """A float from a JSON number or a flag string; booleans are rejected."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An int from a JSON integer, a whole-valued JSON float or a flag string;
+    booleans and fractional values are rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
+def _numbers(count: int | None = None, kind=_real):
     def parse(value) -> tuple:
         if not isinstance(value, list) or count not in (None, len(value)):
             raise ValueError(f"expected a list of {count or 'some'} numbers")
@@ -213,38 +230,38 @@ def _grid(nx=None, ny=None, **kwargs) -> dict:
 CONFIG_KEYS = (
     ConfigKey("shape", _text, "--shape", "circle:r=1 | ellipse:a=1,b=1.2 | kite"),
     _section("material", MaterialParams),
-    ConfigKey("material.n", float, "--n", "refractive index", required=True),
-    ConfigKey("material.eta", float, "--eta", "first conductivity parameter", required=True),
-    ConfigKey("material.lambda", float, "--lambda", "second conductivity parameter",
+    ConfigKey("material.n", _real, "--n", "refractive index", required=True),
+    ConfigKey("material.eta", _real, "--eta", "first conductivity parameter", required=True),
+    ConfigKey("material.lambda", _real, "--lambda", "second conductivity parameter",
               arg="lam", required=True, alias="lam"),
     ConfigKey("method", _text, "--method", choices=("determinant", "bie")),
     _section("determinant", DeterminantSettings),
-    ConfigKey("determinant.m_max", int, "--m-max", "largest angular mode (determinant)"),
+    ConfigKey("determinant.m_max", _integer, "--m-max", "largest angular mode (determinant)"),
     ConfigKey("determinant.k_range", _numbers(2), "--k-range",
               "real scan window, e.g. 0.01,10 (determinant)", comma=True),
-    ConfigKey("determinant.tol", float),
+    ConfigKey("determinant.tol", _real),
     ConfigKey("determinant.complex_region", _or_none(_numbers(4)), "--complex-region",
               "re0,re1,im0,im1 complex search window (determinant)", commands=("spectrum",),
               comma=True),
-    ConfigKey("determinant.complex_grid", _numbers(2, int)),
+    ConfigKey("determinant.complex_grid", _numbers(2, _integer)),
     _section("bie", BieSettings),
-    ConfigKey("bie.nodes", int, "--nodes", "boundary quadrature nodes (bie)"),
+    ConfigKey("bie.nodes", _integer, "--nodes", "boundary quadrature nodes (bie)"),
     _list("bie.contours", partial(ContourSpec, radius=0.5)),
     ConfigKey("bie.contours[].mu", _parse_mu, "--mu",
               "comma list of contour centers, e.g. 0.5,1.5 or 2.2+0.6i", arg="center",
               comma=True, required=True, alias="center"),
-    ConfigKey("bie.contours[].radius", float, "--radius", "contour radius (default 0.5)"),
-    ConfigKey("bie.contours[].quad_points", int, "--quad-points",
+    ConfigKey("bie.contours[].radius", _real, "--radius", "contour radius (default 0.5)"),
+    ConfigKey("bie.contours[].quad_points", _integer, "--quad-points",
               "contour quadrature nodes (default 24)"),
     _section("bie.beyn", BeynConfig),
-    ConfigKey("bie.beyn.probe_columns", int),
-    ConfigKey("bie.beyn.rank_tol", float),
-    ConfigKey("bie.beyn.residual_tol", float),
-    ConfigKey("bie.beyn.seed", int),
+    ConfigKey("bie.beyn.probe_columns", _integer),
+    ConfigKey("bie.beyn.rank_tol", _real),
+    ConfigKey("bie.beyn.residual_tol", _real),
+    ConfigKey("bie.beyn.seed", _integer),
     _section("converge"),
     ConfigKey("converge.side", _text, "--side", arg="converge_side", commands=("converge",),
               choices=("below", "above")),
-    ConfigKey("converge.p_max", int, "--pmax", arg="converge_p_max", commands=("converge",)),
+    ConfigKey("converge.p_max", _integer, "--pmax", arg="converge_p_max", commands=("converge",)),
     _section("sweep"),
     ConfigKey("sweep.field", _text, "--sweep-field", arg="sweep_field", commands=("sweep",),
               choices=("n", "eta", "lambda"), required=True),
@@ -253,13 +270,13 @@ CONFIG_KEYS = (
     _section("grid", _grid),
     ConfigKey("grid.region", _numbers(4), "--region", "re0,re1,im0,im1 (default 0,10,-1,1)",
               arg="grid_region", commands=("grid",), comma=True),
-    ConfigKey("grid.nx", int, "--nx", commands=("grid",)),
-    ConfigKey("grid.ny", int, "--ny", commands=("grid",), follows="nx"),
-    ConfigKey("grid.m", int, "--m", "angular mode of the grid determinant", arg="grid_m",
+    ConfigKey("grid.nx", _integer, "--nx", commands=("grid",)),
+    ConfigKey("grid.ny", _integer, "--ny", commands=("grid",), follows="nx"),
+    ConfigKey("grid.m", _integer, "--m", "angular mode of the grid determinant", arg="grid_m",
               commands=("grid",)),
     ConfigKey("out", _or_none(_text), "--out", "output file path"),
     ConfigKey("format", _text, "--format", arg="fmt", choices=("csv", "json")),
-    ConfigKey("jobs", int, "--jobs", "worker threads (default: hardware)"),
+    ConfigKey("jobs", _integer, "--jobs", "worker threads (default: hardware)"),
 )
 
 
@@ -688,7 +705,7 @@ def read_table_csv(text: str) -> list[list[str]]:
     return [row for row in csv.reader(io.StringIO(text)) if row]
 
 
-def display(table: list[list[str]], decimals: int = 4) -> str:
+def display(table: list[list[str]]) -> str:
     """Human-readable rendering with floats rounded to 4 decimals."""
     header, *rows = table
 
@@ -699,7 +716,7 @@ def display(table: list[list[str]], decimals: int = 4) -> str:
         except ValueError:
             pass
         try:
-            return f"{float(cell):.{decimals}f}"
+            return f"{float(cell):.4f}"
         except ValueError:
             return cell
 

@@ -30,6 +30,17 @@ class Scalar:
         return np.array([[z - self.z0]], dtype=complex)
 
 
+class Diagonal:
+    """M(z) = diag(z - roots)."""
+
+    def __init__(self, roots):
+        self.roots = np.asarray(roots, dtype=complex)
+        self.dim = self.roots.size
+
+    def __call__(self, z):
+        return np.diag(z - self.roots)
+
+
 @pytest.fixture(scope="module")
 def disk_nep():
     return HelmholtzNep(sample(parse_shape("circle:r=1"), 120), EX34)
@@ -119,6 +130,19 @@ class TestScalarAndPolynomial:
     def test_empty_contour(self):
         out = beyn_solve(Scalar(10.0), ContourSpec(1.0, 0.5, 16))
         assert out == []
+
+    def test_rank_above_64(self):
+        # 70 simple eigenvalues on four rings inside the unit circle, 30 outside:
+        # the reduced matrix is 70 x 70
+        def ring(r, count):
+            return r * np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+
+        inside = np.concatenate([ring(0.2, 7), ring(0.4, 14), ring(0.6, 21), ring(0.8, 28)])
+        nep = Diagonal(np.concatenate([inside, ring(1.5, 30)]))
+        out = beyn_solve(nep, ContourSpec(0.0, 1.0, 256), BeynConfig(probe_columns=80))
+        assert len(out) == 70 and all(e.multiplicity == 1 for e in out)
+        got = np.sort_complex(np.array([e.k for e in out]))
+        assert np.max(np.abs(got - np.sort_complex(inside))) <= 1e-10
 
 
 class TestDiskBoundaryProblem:

@@ -92,8 +92,9 @@ class TestRealRoots:
 
     def test_root_count_stable_under_scan_refinement(self):
         p = MaterialParams(4.0, 1.0, 0.75)
-        coarse = real_roots(p, m_max=5, k_range=(0.5, 6.0), step=0.01)
-        fine = real_roots(p, m_max=5, k_range=(0.5, 6.0), step=0.005)
+        # the scan step is tol * 1e6: 1e-3, then 5e-4
+        coarse = real_roots(p, m_max=5, k_range=(0.5, 6.0), tol=1e-9)
+        fine = real_roots(p, m_max=5, k_range=(0.5, 6.0), tol=5e-10)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.k - b.k) <= 1e-9 and a.mode_m == b.mode_m

@@ -75,9 +75,10 @@ class TestSample:
 
     def test_unit_normals_orthogonal_to_tangents(self):
         for spec in ("circle:r=1", "ellipse:a=1,b=1.2", "kite"):
-            s = sample(parse_shape(spec), 64)
+            c = parse_shape(spec)
+            s = sample(c, 64)
             assert np.max(np.abs(np.hypot(s.normals[:, 0], s.normals[:, 1]) - 1)) <= 1e-14
-            dots = np.einsum("ij,ij->i", s.normals, s.tangents)
+            dots = np.einsum("ij,ij->i", s.normals, c.derivative(s.t)) / s.speeds
             assert np.max(np.abs(dots)) <= 1e-14
 
     def test_circle_curvature(self):
@@ -91,12 +92,19 @@ class TestSample:
         assert s.curvatures[0] == pytest.approx(1.0 / 1.44, abs=1e-10)
 
     def test_derivative_matches_finite_differences(self):
-        c = parse_shape("kite")
-        s = sample(c, 32)
+        # the kite, and a trig curve with terms up to j = 5, where scaling the
+        # coefficients by j is no longer exact
+        trig = make_curve("trig", xc=(0.1, 1.0, 0.05, 0.0, 0.02, 0.01),
+                          xs=(0.0, 0.0, 0.03, 0.02, 0.0, 0.01),
+                          yc=(0.0, 0.0, 0.0, 0.03, 0.01, 0.0),
+                          ys=(0.2, 1.1, 0.04, 0.0, 0.02, 0.01))
         h = 1e-6
-        fd = (c.point(s.t + h) - c.point(s.t - h)) / (2 * h)
-        d = c.derivative(s.t)
-        assert np.max(np.abs(fd - d)) <= 1e-8
+        for c in (parse_shape("kite"), trig):
+            t = sample(c, 32).t
+            fd = (c.point(t + h) - c.point(t - h)) / (2 * h)
+            assert np.max(np.abs(fd - c.derivative(t))) <= 1e-8
+            fd2 = (c.derivative(t + h) - c.derivative(t - h)) / (2 * h)
+            assert np.max(np.abs(fd2 - c.second_derivative(t))) <= 1e-8
 
     def test_signed_area_greens_theorem(self):
         # trapezoid rule is spectrally accurate on smooth closed curves

@@ -11,16 +11,21 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def solve(A, B):
+    """A X = B the way Beyn's node solves do it: one LU, then one apply."""
+    return linalg.lu_apply(linalg.lu_factor(A), B)
+
+
 class TestLuSolve:
     def test_identity(self):
         rng = np.random.default_rng(0)
         B = random_complex(rng, 3, 2)
-        assert np.allclose(linalg.lu_solve(np.eye(3), B), B, rtol=0, atol=1e-15)
+        assert np.allclose(solve(np.eye(3), B), B, rtol=0, atol=1e-15)
 
     def test_diagonal(self):
         A = np.diag([2.0, 1j])
         B = np.array([[2.0], [1j]])
-        X = linalg.lu_solve(A, B)
+        X = solve(A, B)
         assert np.allclose(X, np.ones((2, 1)), atol=1e-15)
 
     def test_recovers_known_solution(self):
@@ -28,20 +33,20 @@ class TestLuSolve:
         A = random_complex(rng, 20, 20)
         X = random_complex(rng, 20, 4)
         B = A @ X
-        got = linalg.lu_solve(A, B)
+        got = solve(A, B)
         resid = np.linalg.norm(A @ got - B)
         assert resid <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(got)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(2)
         A = random_complex(rng, 30, 30) + 5 * np.eye(30)
-        inv = linalg.lu_solve(A, np.eye(30))
+        inv = solve(A, np.eye(30))
         assert np.linalg.norm(A @ inv - np.eye(30)) <= 1e-9
 
     def test_singular_reports_pivot(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularMatrix) as exc:
-            linalg.lu_solve(A, np.eye(2))
+            solve(A, np.eye(2))
         assert exc.value.pivot_index == 1
 
     def test_solve_right(self):
@@ -53,9 +58,9 @@ class TestLuSolve:
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            linalg.lu_solve(np.ones((2, 3)), np.ones(2))
+            solve(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
-            linalg.lu_solve(np.eye(3), np.ones((2, 1)))
+            solve(np.eye(3), np.ones((2, 1)))
 
 
 class TestSvd:
@@ -109,7 +114,3 @@ class TestEigDense:
         v1 = np.sort_complex(linalg.eig_dense(A))
         v2 = np.sort_complex(linalg.eig_dense(P @ A @ P.T))
         assert np.allclose(v1, v2, atol=1e-8 * np.linalg.norm(A))
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            linalg.eig_dense(np.eye(65))

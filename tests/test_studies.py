@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -379,9 +380,18 @@ class TestConfig:
                     {"determinant": {"k_range": 3}}, {"bie": {"contours": [{"radius": 1}]}},
                     {"bie": {"contours": {"mu": 1}}}, {"shape": 1}, [{"shape": "kite"}],
                     {"bie": {"beyn": {"seed": -1}}}, {"converge": {"p_max": 0}},
-                    {"converge": {"p_max": -2}}, {"jobs": -4}):
+                    {"converge": {"p_max": -2}}, {"jobs": -4},
+                    # fractional integers and booleans are rejected, not truncated
+                    {"bie": {"nodes": 240.5}}, {"determinant": {"m_max": 6.9}},
+                    {"converge": {"p_max": 3.7}}, {"grid": {"nx": 10.2}},
+                    {"determinant": {"complex_grid": [201.5, 81]}}, {"jobs": True},
+                    {"material": {"n": True, "eta": 1, "lambda": 1}},
+                    {"bie": {"contours": [{"mu": True}]}}):
             with pytest.raises(ConfigError):
                 config_from_dict(doc)
+        cfg = config_from_dict({"bie": {"nodes": 240.0}, "determinant": {"complex_grid": [21, 9]}})
+        assert cfg.bie.nodes == 240 and type(cfg.bie.nodes) is int
+        assert cfg.determinant.complex_grid == (21, 9)
 
     def test_default_jobs_follow_cpu_affinity(self, monkeypatch):
         import os
@@ -441,6 +451,16 @@ class TestFlags:
             if key.path not in sections:
                 flag = key.flag and f"| `{key.flag}` |"
                 assert (flag or "| | |") in rows[key.path], key.path
+
+    def test_readme_examples_parse(self):
+        # every command of README's Examples block builds its configuration
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Examples", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("tevsolve ")]
+        assert len(commands) == 5
+        for argv in commands:
+            assert isinstance(load_with_flags({}, *argv), StudyConfig), argv
 
     def test_mu_takes_radius_and_quad_points(self):
         cfg = load_with_flags(self.BIE, "spectrum", "--mu", "0.5,2+1i", "--quad-points", "40")
@@ -510,7 +530,7 @@ class TestCli:
         proc = self.run_cli("spectrum", "--config", str(bad))
         assert proc.returncode == 2
         for doc in ({"determinant": {"m_max": "abc"}}, {"material": [4, 1, 1]},
-                    {"grid": {"region": [0, 1]}},
+                    {"grid": {"region": [0, 1]}}, {"determinant": {"m_max": 6.9}},
                     {"method": "bie", "shape": "kite", "bie": {"nodes": 32, "contours": [{"mu": 2}],
                                                                "beyn": {"seed": -1}}}):
             bad.write_text(json.dumps(doc))
