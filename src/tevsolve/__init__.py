@@ -5,7 +5,7 @@ refractive index n.
 Two solver paths cross-validate each other:
 
 * unit disk: exact angular-mode determinants, with real-axis bracketing and
-  complex grid-plus-Newton root finding (:mod:`tevsolve.disk`);
+  complex roots from argument-principle counts (:mod:`tevsolve.disk`);
 * general smooth boundary: a spectrally accurate Nystrom discretization of
   the single/adjoint-double layer operators assembled into a holomorphic
   matrix family (:mod:`tevsolve.bie`), solved by a contour-integral

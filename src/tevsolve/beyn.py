@@ -37,6 +37,7 @@ from .errors import CapacityExceeded, ConfigError
 from .linalg import _map
 
 _NOISE_FLOOR_FACTOR = 100.0
+_RANK_TOL = 1.0e-4  # rank cut of the zeroth moment, relative to its largest singular value
 _NEWTON_DIFF_STEP = 1.0e-7  # forward-difference step of the polish, times the radius
 
 
@@ -79,18 +80,17 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class BeynConfig:
-    """Probe size, truncation and acceptance tolerances, and probe RNG seed."""
+    """Probe size, acceptance tolerance, and probe RNG seed."""
 
     probe_columns: int = 20
-    rank_tol: float = 1.0e-4
     residual_tol: float = 1.0e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.probe_columns < 1:
             raise ConfigError("probe_columns must be >= 1")
-        if self.rank_tol <= 0 or self.residual_tol <= 0:
-            raise ConfigError("rank_tol and residual_tol must be positive")
+        if self.residual_tol <= 0:
+            raise ConfigError("residual_tol must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -176,7 +176,7 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     noise_floor = _NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale * gross
 
     U, s, W = linalg.svd(a0)
-    cut = max(cfg.rank_tol * s[0], noise_floor)
+    cut = max(_RANK_TOL * s[0], noise_floor)
     rank = int(np.sum(s > cut))
     if rank == 0:
         return []

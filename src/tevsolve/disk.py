@@ -7,8 +7,8 @@ problem to scalar root finding: for each integer mode m >= 0,
 
 with s = sqrt(n), and k is an eigenvalue iff det_m(k) = 0 for some m.  det_m
 is entire in k and real on the real axis for real parameters, so real roots
-are found by sign-change bracketing and complex roots by a grid-seeded Newton
-iteration with the analytic derivative.
+are found by sign-change bracketing, and those in a rectangle of the complex
+plane from argument-principle counts and moments on boxes (complex_roots).
 
 det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s.
 The real-axis scan of a study's material points (a lambda -> 1 study, an
@@ -25,24 +25,22 @@ distinct k values, the way the reference tables list them.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from . import linalg
+from .errors import ConfigError, NumericalFailure, SingularMatrix
 from .linalg import _map
 from .materials import MaterialParams
 from .special import MAX_ORDER, bessel_j, bessel_j_prime, bessel_j_second
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_M_MAX = 10
 DEFAULT_K_MIN = 1.0e-3
-_NEWTON_MAX_STEPS = 100
 _SCAN_STEP_CAP = 0.01
 _SCAN_STEP_FLOOR = 1.0e-4
+_MAX_ZEROS, _MAX_SPLITS, _POLISH_STEPS = 3, 40, 8  # per box, per search, per root
+_RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off the zero of det_m at k = 0
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,7 @@ def disk_determinant(m: int, k, p):
     once per distinct n, one n at a time.
     """
     points = (p,) if isinstance(p, MaterialParams) else tuple(p)
+    k = np.asarray(k)
     jm, jpm = bessel_j(m, k), bessel_j_prime(m, k)
     out = np.empty((len(points),) + np.shape(k), np.result_type(k, jm, jpm))
     for n in dict.fromkeys(q.n for q in points):
@@ -182,73 +181,82 @@ def complex_roots(
     m: int,
     p: MaterialParams,
     region: tuple[float, float, float, float],
-    grid: tuple[int, int] = (201, 81),
     tol: float = 1.0e-10,
 ) -> list[DiskEigenvalue]:
-    """Complex eigenvalues of mode m inside the rectangle region.
+    """All eigenvalues of mode m, real ones included, in the closed rectangle
+    region = (re_min, re_max, im_min, im_max) of the right half-plane.
 
-    region is (re_min, re_max, im_min, im_max) in the right half-plane.
-    Seeds are the local minima of |det_m| on the search lattice; each seed is
-    polished by Newton iteration with the analytic derivative until
-    |det_m| <= tol.  Non-converging seeds are dropped with a logged warning.
-    Conjugate partners are always reported together (det_m has real
-    coefficients), and duplicates within 10*tol are merged.
+    The region, grown by 1e-3 of its size, is split into boxes until the
+    argument principle counts at most 3 zeros of det_m in each, within 1e-3
+    of an integer.  Moments of det_m'/det_m - 2m/k (det_m has a zero of order
+    2m at k = 0) give them as the eigenvalues of a Hankel pencil (Delves and
+    Lyness 1967; Kravanja and Van Barel 2000); up to 8 Newton steps polish
+    each until a step is at most tol.  A singular pencil or a polish that
+    fails or leaves its box splits the box too.  Boxes do not overlap, so each
+    root is found once; one unsettled after 40 splits raises NumericalFailure.
+    Roots within tol of the real axis are reported real.
     """
     re0, re1, im0, im1 = map(float, region)
-    if not (re1 > re0 and im1 > im0):
-        raise ConfigError(f"degenerate region {region}")
-    if re1 <= 0:
-        raise ConfigError("search region must intersect the right half-plane")
-    nx, ny = map(int, grid)
-    if nx < 3 or ny < 3:
-        raise ConfigError("grid must be at least 3x3 to detect interior minima")
-    re, im, absd = determinant_grid(m, p, (max(re0, 1.0e-6), re1, im0, im1), nx, ny)
-    interior = absd[1:-1, 1:-1]
-    is_min = (interior == sliding_window_view(absd, (3, 3)).min(axis=(2, 3))) & (interior < np.inf)
-    i, j = np.nonzero(is_min)
-    seeds = re[1:-1][i] + 1j * im[1:-1][j]
-
-    roots: list[complex] = []
-    for seed in seeds:
-        k = complex(seed)
-        ok = False
-        for _ in range(_NEWTON_MAX_STEPS):
-            f = complex(disk_determinant(m, k, p))
-            if abs(f) <= tol:
-                ok = True
-                break
-            df = complex(disk_determinant_prime(m, k, p))
-            if df == 0.0:
-                break
-            step = f / df
-            k = k - step
-            if not np.isfinite(k) or abs(k) > 10.0 * (abs(re1) + abs(im1) + 1.0):
-                break
-        if not ok:
-            logger.warning("complex root seed %s for mode %d did not converge; discarded", seed, m)
-            continue
-        roots.append(k)
-        if abs(k.imag) > tol:
-            roots.append(k.conjugate())
-
-    merged: list[complex] = []
-    for k in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if all(abs(k - q) > 10.0 * max(tol, 1e-14) for q in merged):
-            merged.append(k)
+    if not (re1 > max(re0, _RE_FLOOR) and im1 > im0):
+        raise ConfigError(f"region {region} must be a rectangle reaching re k > 1e-6")
+    lo, hi = complex(re0, im0), complex(re1, im1)
+    grow = 1.0e-3 * (hi - lo)
+    boxes = [(complex(max(re0 - grow.real, _RE_FLOOR), im0 - grow.imag), hi + grow, 0)]
+    rule = np.polynomial.legendre.leggauss(32)  # per box edge; built here, not at import
     out = []
-    for k in merged:
-        if re0 <= k.real <= re1 and im0 <= k.imag <= im1 and k.real > 0:
-            kk = complex(k.real, 0.0) if abs(k.imag) <= tol else k
-            out.append(
-                DiskEigenvalue(
-                    k=kk,
-                    mode_m=m,
-                    multiplicity=1 if m == 0 else 2,
-                    residual=abs(complex(disk_determinant(m, kk, p))),
-                )
-            )
-    out.sort(key=lambda e: (e.k.real, e.k.imag))
-    return out
+    while boxes:
+        a, b, splits = boxes.pop()  # lower left and upper right corners
+        found = _box_roots(m, p, a, b, tol, rule)
+        if found is not None:
+            out += [DiskEigenvalue(k, m, 1 if m == 0 else 2, float(abs(disk_determinant(m, k, p))))
+                    for k in found if _inside(k, lo, hi)]
+        elif splits == _MAX_SPLITS:
+            raise NumericalFailure(f"det_{m}: box {a}..{b} did not settle in {splits} splits")
+        else:  # across the longer side, off-centre: a symmetric window is not cut on im k = 0
+            w, h = (b - a).real, (b - a).imag
+            cut = a + (0.4621 * w if w >= h else 0.4621j * h)
+            top = complex(cut.real, b.imag) if w >= h else complex(b.real, cut.imag)
+            boxes += [(a, top, splits + 1), (cut, b, splits + 1)]
+    return sorted(out, key=lambda e: (e.k.real, e.k.imag))
+
+
+def _inside(k: complex, a: complex, b: complex) -> bool:
+    return a.real <= k.real <= b.real and a.imag <= k.imag <= b.imag
+
+
+def _box_roots(m: int, p: MaterialParams, a: complex, b: complex, tol: float, rule) -> list | None:
+    """The zeros of det_m in the box from corner a to b (rule: edge nodes, weights); None: split."""
+    corners = np.array([a, complex(b.real, a.imag), b, complex(a.real, b.imag)])
+    half = (0.5 * (np.roll(corners, -1) - corners))[:, None]  # half-edges, counterclockwise
+    ks = (corners[:, None] + half + half * rule[0]).ravel()
+    f = disk_determinant(m, ks, p)
+    if not np.all(np.abs(f) >= np.finfo(float).tiny):  # zero or subnormal: no digits left
+        return None
+    g = (disk_determinant_prime(m, ks, p) / f - 2 * m / ks) * (half * rule[1]).ravel()
+    # s_j = the sum of w^j over the zeros, w = (k - center) / radius
+    center, radius = 0.5 * (a + b), 0.5 * abs(b - a)
+    s = ((ks - center) / radius) ** np.arange(2 * _MAX_ZEROS)[:, None] @ g / (2j * np.pi)
+    count = round(s[0].real)
+    if abs(s[0] - count) > 1.0e-3 or not 0 <= count <= _MAX_ZEROS:
+        return None
+    if count == 0:
+        return []
+    hankel = np.add.outer(np.arange(count), np.arange(count))
+    try:
+        zeros = linalg.eig_dense(linalg.lu_apply(linalg.lu_factor(s[hankel]), s[hankel + 1]))
+    except SingularMatrix:
+        return None
+    roots = []
+    for k in (center + radius * zeros).tolist():
+        for _ in range(_POLISH_STEPS):
+            step = complex(disk_determinant(m, k, p)) / complex(disk_determinant_prime(m, k, p))
+            k -= step
+            if abs(step) <= tol or not _inside(k, a, b):
+                break
+        if abs(step) > tol or not _inside(k, a, b) or any(abs(k - q) <= tol for q in roots):
+            return None
+        roots.append(complex(k.real, 0.0) if abs(k.imag) <= tol else k)
+    return roots
 
 
 def determinant_grid(

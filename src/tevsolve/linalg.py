@@ -88,8 +88,8 @@ def singular_values(A) -> np.ndarray:
 
 
 def eig_dense(A) -> np.ndarray:
-    """Eigenvalues of a dense square matrix of any size (Beyn's reduced matrix
-    is rank x rank), as an unordered multiset."""
+    """Eigenvalues of a dense square matrix of any size (Beyn's reduced matrix,
+    the disk search's Hankel pencil), as an unordered multiset."""
     A = _as_square(A)
     try:
         return np.linalg.eigvals(A)

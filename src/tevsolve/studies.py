@@ -73,7 +73,6 @@ class DeterminantSettings:
     k_range: tuple[float, float] = (DEFAULT_K_MIN, 10.0)
     tol: float = 1.0e-10
     complex_region: tuple[float, float, float, float] | None = None
-    complex_grid: tuple[int, int] = (201, 81)
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,11 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _numbers(count: int | None = None, kind=_real):
+def _numbers(count: int | None = None):
     def parse(value) -> tuple:
         if not isinstance(value, list) or count not in (None, len(value)):
             raise ValueError(f"expected a list of {count or 'some'} numbers")
-        return tuple(kind(v) for v in value)
+        return tuple(_real(v) for v in value)
     return parse
 
 
@@ -243,7 +242,6 @@ CONFIG_KEYS = (
     ConfigKey("determinant.complex_region", _or_none(_numbers(4)), "--complex-region",
               "re0,re1,im0,im1 complex search window (determinant)", commands=("spectrum",),
               comma=True),
-    ConfigKey("determinant.complex_grid", _numbers(2, _integer)),
     _section("bie", BieSettings),
     ConfigKey("bie.nodes", _integer, "--nodes", "boundary quadrature nodes (bie)"),
     _list("bie.contours", partial(ContourSpec, radius=0.5)),
@@ -255,7 +253,6 @@ CONFIG_KEYS = (
               "contour quadrature nodes (default 24)"),
     _section("bie.beyn", BeynConfig),
     ConfigKey("bie.beyn.probe_columns", _integer),
-    ConfigKey("bie.beyn.rank_tol", _real),
     ConfigKey("bie.beyn.residual_tol", _real),
     ConfigKey("bie.beyn.seed", _integer),
     _section("converge"),
@@ -455,9 +452,9 @@ def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
 def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[SpectrumRow]:
     """All eigenvalues under the configured method, sorted by (re k, im k).
 
-    Determinant path: real-axis bracketing over m <= m_max, plus a complex
-    grid-and-Newton search per mode when a complex_region is configured
-    (duplicates merge per mode), both with their modes on the pool.  BIE
+    Determinant path: real-axis bracketing over m <= m_max, plus each mode's
+    complex_roots search when a complex_region is configured (a root both find
+    is kept once), both with their modes on the pool.  BIE
     path: Beyn solves over every configured contour; copies of one eigenvalue
     from overlapping contours (within 10 * residual_tol) merge into the copy
     lying deepest inside its contour.
@@ -467,14 +464,9 @@ def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[S
         jobs = cfg.effective_jobs
         eigs = list(real_roots(cfg.material, det.m_max, det.k_range, det.tol, jobs=jobs))
         if det.complex_region is not None:
-            search = partial(complex_roots, p=cfg.material, region=det.complex_region,
-                             grid=det.complex_grid, tol=det.tol)
-            for extra in _map(search, range(det.m_max + 1), jobs):
-                for e in extra:
-                    if not any(
-                        d.mode_m == e.mode_m and abs(d.k - e.k) < MERGE_TOL for d in eigs
-                    ):
-                        eigs.append(e)
+            search = partial(complex_roots, p=cfg.material, region=det.complex_region, tol=det.tol)
+            eigs += [e for extra in _map(search, range(det.m_max + 1), jobs) for e in extra
+                     if all(d.mode_m != e.mode_m or abs(d.k - e.k) >= MERGE_TOL for d in eigs)]
         eigs.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
         return _rows_from_disk(eigs)
     nep = _nep_for(cfg, cfg.material)

@@ -209,7 +209,7 @@ def test_criterion_3_disk_cross_validation():
     failures = []
     det_root = real_roots(EX34, m_max=0, k_range=(3.0, 4.0))[0].k.real
     nep = HelmholtzNep(sample(parse_shape("circle:r=1"), 120), EX34)
-    cfg = BeynConfig(probe_columns=20, rank_tol=1e-4, residual_tol=1e-4)
+    cfg = BeynConfig(probe_columns=20, residual_tol=1e-4)
 
     out = beyn_solve(nep, ContourSpec(3.5, 0.5, 24), cfg, jobs=JOBS)
     near = [e for e in out if abs(e.k - det_root) <= 1e-3]

@@ -13,13 +13,23 @@ from tevsolve.disk import (
     real_roots,
     real_roots_many,
 )
-from tevsolve.errors import ConfigError, PoleError
+from tevsolve.cli import main
+from tevsolve.errors import ConfigError, NumericalFailure, PoleError
 from tevsolve.materials import MaterialParams
 from tevsolve.special import MAX_ORDER, bessel_j
 from tevsolve.studies import lambda_at
-from tevsolve.testing import bessel_j_positive_root, circle_mode_symbol
+from tevsolve.testing import (
+    bessel_j_positive_root,
+    circle_mode_symbol,
+    disk_root_mp,
+    disk_zero_count,
+)
 
 EX34 = MaterialParams(n=4.0, eta=-0.01, lam=2.0)
+# the materials of the complex-search checks: regime B, EX34, regime A, the
+# (n, eta) of the lambda -> 1+ study, and a large n
+SEARCH_MATERIALS = [MaterialParams(4.0, 1.0, 0.5), EX34, MaterialParams(0.25, -3.0, 2.0),
+                    MaterialParams(1.0 / 3.0, -1.0, 1.5), MaterialParams(9.0, 0.5, 1.0)]
 
 # the ten mode-0 eigenvalues of the (n=4, eta=-1/100, lam=2) disk in
 # [0, 10] x [-1, 1]i, as published to six decimals
@@ -50,6 +60,13 @@ class TestDeterminant:
     def test_published_roots_are_roots(self):
         assert abs(disk_determinant(0, 3.456704, EX34)) <= 1e-5
         assert abs(disk_determinant(4, 2.151602, EX34)) <= 1e-5
+
+    def test_list_argument_equals_array(self):
+        for k in ([0.30, 0.31], [2.2 + 0.3j, 5.3]):
+            for p in (EX34, SEARCH_MATERIALS):
+                want = disk_determinant(0, np.array(k), p)
+                assert np.array_equal(disk_determinant(0, k, p), want)
+        assert disk_determinant(0, [0.30, 0.31], EX34)[0] == disk_determinant(0, 0.30, EX34)
 
     def test_real_k_real_value(self):
         ks = np.linspace(0.1, 9.7, 100)
@@ -200,8 +217,57 @@ class TestComplexRoots:
         # parameters whose spectrum in the window is purely real
         p = MaterialParams(4.0, 1.0, 1.0)
         real_set = [e.k.real for e in real_roots(p, m_max=0, k_range=(0.5, 4.0))]
-        complex_set = complex_roots(0, p, (0.5, 4.0, -0.3, 0.3), grid=(141, 41))
+        complex_set = complex_roots(0, p, (0.5, 4.0, -0.3, 0.3))
         assert [e.k for e in complex_set] == pytest.approx(real_set, abs=1e-8)
+
+    def test_pair_next_to_region_edge(self):
+        # 0.0035 from the edges im k = -1 and +1
+        p = SEARCH_MATERIALS[0]
+        got = [e.k for e in complex_roots(1, p, (0.0, 10.0, -1.0, 1.0))]
+        for want in (2.963366 - 0.996507j, 2.963366 + 0.996507j):
+            assert min(abs(k - want) for k in got) <= 1e-6
+            assert disk_zero_count(p, want, 1e-3, 1) == {1: 1}
+
+    def test_roots_on_region_edge(self):
+        upper = [k for k in EX34_ROOTS if k.imag >= 0]  # four on the edge im k = 0
+        got = [e.k for e in complex_roots(0, EX34, (0.0, 10.0, 0.0, 1.0))]
+        assert got == pytest.approx(upper, abs=5e-6)
+        assert sum(k.imag == 0 for k in got) == 4
+        real = [e.k for e in real_roots(EX34, m_max=9, k_range=(1.0, 5.0)) if e.mode_m == 9]
+        assert [e.k for e in complex_roots(9, EX34, (1.0, 5.0, 0.0, 2.0))] == pytest.approx(
+            real, abs=1e-9)
+        assert real == pytest.approx([4.43503], abs=1e-5)
+
+    def test_high_mode_roots_match_mpmath(self):
+        for p, k0 in ((EX34, 9.3932857), (SEARCH_MATERIALS[4], 8.8502284)):
+            got = complex_roots(20, p, (k0 - 0.5, k0 + 0.5, -0.5, 0.5))
+            m, want = disk_root_mp(p, k0, 20)
+            assert m == 20 and len(got) == 1
+            assert abs(got[0].k - want) <= 1e-12
+
+    def test_counts_match_argument_principle(self):
+        circles = ((1.5, 0.9), (4.0 + 0.3j, 0.6), (6.0 - 0.2j, 0.7), (8.5, 0.95))
+        for p in SEARCH_MATERIALS:
+            roots = [e for m in range(9) for e in complex_roots(m, p, (0.0, 10.0, -1.0, 1.0))]
+            for center, radius in circles:
+                assert all(abs(abs(e.k - center) - radius) > 1e-3 for e in roots)
+                inside = [e.mode_m for e in roots if abs(e.k - center) < radius]
+                counts = {m: inside.count(m) for m in set(inside)}
+                assert counts == disk_zero_count(p, center, radius, 8), (p, center)
+
+    def test_rejects_bad_regions(self):
+        for region in ((1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 1.0, -1.0), (-2.0, -1.0, -1.0, 1.0),
+                       (-1.0, 1.0e-7, -1.0, 1.0)):
+            with pytest.raises(ConfigError):
+                complex_roots(0, EX34, region)
+
+    def test_unsettled_box_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(disk, "_MAX_SPLITS", 0)  # ten roots: one box cannot hold them
+        with pytest.raises(NumericalFailure):
+            complex_roots(0, EX34, (0.0, 10.0, -1.0, 1.0))
+        assert main(["spectrum", "--n", "4", "--eta", "-0.01", "--lambda", "2", "--m-max", "0",
+                     "--complex-region", "0,10,-1,1", "--jobs", "1"]) == 3
+        assert "did not settle" in capsys.readouterr().err
 
 
 class TestDeterminantGrid:

@@ -389,9 +389,14 @@ class TestConfig:
                     {"bie": {"contours": [{"mu": True}]}}):
             with pytest.raises(ConfigError):
                 config_from_dict(doc)
-        cfg = config_from_dict({"bie": {"nodes": 240.0}, "determinant": {"complex_grid": [21, 9]}})
+        cfg = config_from_dict({"bie": {"nodes": 240.0}})
         assert cfg.bie.nodes == 240 and type(cfg.bie.nodes) is int
-        assert cfg.determinant.complex_grid == (21, 9)
+
+    def test_removed_keys_rejected(self):
+        for doc in ({"determinant": {"complex_grid": [201, 81]}},
+                    {"bie": {"beyn": {"rank_tol": 1e-4}}}):
+            with pytest.raises(ConfigError, match="unknown"):
+                config_from_dict(doc)
 
     def test_default_jobs_follow_cpu_affinity(self, monkeypatch):
         import os
