@@ -9,7 +9,8 @@ eigenproblem through the two resolvent moments
 computed by the trapezoid rule on the circle with a random probe matrix V.
 A rank-revealing SVD of A0 truncates the probe space; the reduced matrix
 B = U0^H A1 W0 S0^{-1} has the eigenvalues of M inside the contour, up to
-the trapezoid error; a Newton step on M itself polishes each simple one.
+the trapezoid error; a Newton step on M itself polishes each candidate, and
+polished copies of one eigenvalue then merge into one entry.
 Internally the first moment is taken in the shifted/scaled variable
 (z - center)/radius, which is algebraically identical and better conditioned
 for contours far from the origin.
@@ -94,6 +95,11 @@ class BeynConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
+    @property
+    def merge_radius(self) -> float:
+        """Same-eigenvalue radius: copies of an eigenvalue closer than this are one."""
+        return 10.0 * self.residual_tol
+
 
 @dataclass(frozen=True)
 class NepEigenvalue:
@@ -113,32 +119,17 @@ def residual(nep, k: complex) -> float:
     return float(sv[-1] / sv[0])
 
 
-def _cluster(values: list[complex], radius: float) -> list[list[int]]:
-    """Greedy chaining of indices whose values lie within radius of a cluster member."""
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    clusters: list[list[int]] = []
-    for i in order:
-        for cluster in clusters:
-            if any(abs(values[i] - values[j]) <= radius for j in cluster):
-                cluster.append(i)
-                break
-        else:
-            clusters.append([i])
-    return clusters
-
-
 def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
                jobs: int = 1) -> list[NepEigenvalue]:
     """Eigenvalues of the holomorphic family ``nep`` strictly inside ``contour``.
 
     ``nep`` maps z to a square complex matrix and exposes ``dim``.  Returned
     eigenvalues are filtered to the open disk and to relative residual
-    <= cfg.residual_tol; reduced-problem copies within 10 * residual_tol merge
-    into one entry whose multiplicity is the cluster size and whose location
-    is the member with the smallest residual.  A simple eigenvalue (cluster of
-    one) is then polished by one Newton step on M (see _newton_polish), which
-    squares the trapezoid error of the reduced problem; clusters are reported
-    unpolished.
+    <= cfg.residual_tol.  Each one is polished by one Newton step on M (see
+    _newton_polish), which squares the trapezoid error of the reduced problem.
+    The polished copies then merge: taken in order of residual, a copy within
+    cfg.merge_radius of an entry already kept folds into it, and an entry's
+    multiplicity counts the copies it holds.
 
     ``jobs`` threads share the work: the node solves, then three batches --
     the candidates' residuals, the polish steps, the polished residuals.  A
@@ -194,15 +185,16 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     inside = [complex(z) for z in candidates if contour.contains(z)]
     kept = [(z, r) for z, r in zip(inside, _residuals(nep, inside, jobs))
             if r <= cfg.residual_tol]
-    if not kept:
-        return []
-
-    clusters = _cluster([z for z, _ in kept], 10.0 * cfg.residual_tol)
-    best = [kept[min(cluster, key=lambda i: kept[i][1])] for cluster in clusters]
-    simple = [i for i, cluster in enumerate(clusters) if len(cluster) == 1]
-    best = _newton_polish(nep, contour, best, simple, 10.0 * cfg.residual_tol, jobs)
-    out = [NepEigenvalue(k=z, residual=r, multiplicity=len(cluster), contour=contour)
-           for (z, r), cluster in zip(best, clusters)]
+    entries: list[list] = []  # [k, residual, copies], the lowest residual first
+    for z, r in sorted(_newton_polish(nep, contour, kept, cfg.merge_radius, jobs),
+                       key=lambda zr: zr[1]):
+        entry = next((e for e in entries if abs(e[0] - z) <= cfg.merge_radius), None)
+        if entry is None:
+            entries.append([z, r, 1])
+        else:
+            entry[2] += 1
+    out = [NepEigenvalue(k=z, residual=r, multiplicity=m, contour=contour)
+           for z, r, m in entries]
     out.sort(key=lambda e: (e.k.real, e.k.imag))
     return out
 
@@ -215,10 +207,9 @@ def _residuals(nep, zs: list[complex], jobs: int) -> list[float]:
 
 
 def _newton_polish(nep, contour: ContourSpec, estimates: list[tuple[complex, float]],
-                   simple: list[int], max_move: float, jobs: int
-                   ) -> list[tuple[complex, float]]:
-    """One Newton step from each simple eigenvalue estimate (z, r) = estimates[i],
-    i in simple, with residual r.
+                   max_move: float, jobs: int) -> list[tuple[complex, float]]:
+    """One Newton step from each eigenvalue estimate (z, r) in estimates, r its
+    residual.
 
     The step is taken on g(w) = y^H M(w) x, x and y the right and left
     singular vectors of sigma_min(M(z)) (a two-sided Rayleigh functional):
@@ -226,12 +217,12 @@ def _newton_polish(nep, contour: ContourSpec, estimates: list[tuple[complex, flo
     the error of z, which the trapezoid rule leaves at up to ~1e-4 for
     eigenvalues near the contour or near other eigenvalues.  g' is a forward
     difference.  The step is kept only if it stays inside the contour, moves
-    at most max_move and lowers the residual; (z, r) is kept otherwise.  The
-    estimates' M(z + h), steps and new residuals each run as one batch on the
-    pool.
+    at most max_move and lowers the residual; (z, r) is kept otherwise.  Copies
+    of a multiple eigenvalue each take their own step.  The estimates' M(z + h),
+    steps and new residuals each run as one batch on the pool.
     """
     h = _NEWTON_DIFF_STEP * contour.radius
-    todo = [i for i in simple if estimates[i][1] != 0.0]
+    todo = [i for i, (_, r) in enumerate(estimates) if r != 0.0]
     if hasattr(nep, "prefetch"):
         nep.prefetch([estimates[i][0] + h for i in todo], jobs)
 

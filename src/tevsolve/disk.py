@@ -165,7 +165,10 @@ def real_roots_many(
                 root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(vals[i]), p, tol)
                 residual = abs(complex(disk_determinant(m, root, p)))
                 out.append(DiskEigenvalue(complex(root), m, mult, residual))
-            for i in np.nonzero(vals == 0.0)[0]:
+            # an exact zero is a root only between a sign change; where det_m
+            # underflows (high m, small k) its neighbours are zero too
+            zeros = np.nonzero(vals[1:-1] == 0.0)[0] + 1
+            for i in zeros[sign[zeros - 1] * sign[zeros + 1] < 0]:
                 out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
             found.append(out)
         return found

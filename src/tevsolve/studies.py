@@ -398,17 +398,15 @@ def _bie_eigenvalues(cfg: StudyConfig, nep: HelmholtzNep, partial_errors: list |
                 raise
             logger.warning("contour %s failed: %s", contour.label(), exc)
             partial_errors.append((contour, exc))
-    # Beyn's accuracy degrades towards a contour's edge, so an eigenvalue in
-    # the overlap of two contours comes back twice, up to ~residual_tol apart.
-    # Copies within 10 * residual_tol are one eigenvalue (the rule beyn_solve
-    # applies inside a contour); the copy lying deepest inside its own contour
-    # is kept with its own multiplicity -- both copies count the same
-    # eigenspace, so multiplicities are not summed.
-    merge_tol = 10.0 * cfg.bie.beyn.residual_tol
+    # An eigenvalue in the overlap of two contours comes back twice.  Copies
+    # within merge_radius are one eigenvalue (the radius beyn_solve merges
+    # with inside a contour); the copy lying deepest inside its own contour,
+    # where Beyn's method is most accurate, is kept with its own multiplicity
+    # -- both copies count the same eigenspace, so multiplicities are not summed.
     found.sort(key=_contour_depth)
     merged: list[NepEigenvalue] = []
     for e in found:
-        if all(abs(u.k - e.k) > merge_tol for u in merged):
+        if all(abs(u.k - e.k) > cfg.bie.beyn.merge_radius for u in merged):
             merged.append(e)
     merged.sort(key=lambda e: (e.k.real, e.k.imag))
     return merged
@@ -456,8 +454,8 @@ def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[S
     complex_roots search when a complex_region is configured (a root both find
     is kept once), both with their modes on the pool.  BIE
     path: Beyn solves over every configured contour; copies of one eigenvalue
-    from overlapping contours (within 10 * residual_tol) merge into the copy
-    lying deepest inside its contour.
+    from overlapping contours (within BeynConfig.merge_radius) merge into the
+    copy lying deepest inside its contour.
     """
     if cfg.method == "determinant":
         det = cfg.determinant

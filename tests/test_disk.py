@@ -116,6 +116,23 @@ class TestRealRoots:
         for a, b in zip(coarse, fine):
             assert abs(a.k - b.k) <= 1e-9 and a.mode_m == b.mode_m
 
+    def test_underflow_is_not_a_root(self):
+        # det_m underflows to 0 near k = 0 for m >= 38: only mode 0's root is real
+        eigs = real_roots(EX34, m_max=60, k_range=(0.001, 0.5))
+        assert [(round(e.k.real, 5), e.mode_m) for e in eigs] == [(0.05341, 0)]
+
+    def test_exact_zero_at_a_scan_point_is_a_root(self, monkeypatch):
+        # h = 1e-2 on (1, 2); a linear det_0 vanishing exactly at the 51st point
+        k0 = np.arange(1.0, 2.01, 0.01)[50]
+
+        def linear(m, k, p):
+            vals = np.asarray(k) - k0
+            return vals if isinstance(p, MaterialParams) else np.array([vals] * len(p))
+
+        monkeypatch.setattr(disk, "disk_determinant", linear)
+        eigs = real_roots(EX34, m_max=0, k_range=(1.0, 2.0), tol=1e-8)
+        assert [(e.k, e.residual) for e in eigs] == [(k0, 0.0)]
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
             real_roots(EX34, k_range=(0.0, 1.0))

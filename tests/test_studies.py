@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tevsolve.beyn import BeynConfig, ContourSpec
+from tevsolve.beyn import BeynConfig, ContourSpec, beyn_solve
 from tevsolve.cli import _build_parser
 from tevsolve.errors import ConfigError, TrackingLost
 from tevsolve.materials import MaterialParams
@@ -264,8 +264,9 @@ class TestSpectrum:
 
 def double_root_poly() -> MatrixPolynomial:
     """M(z) = P diag((z-2)(z-4.5), (z-2)(z-4.4), (z+1)(z-5)) P^{-1}: a
-    semisimple double eigenvalue at 2 (Beyn reports it as one unpolished
-    cluster of multiplicity 2) and simple ones at 4.5, 4.4, -1 and 5."""
+    semisimple double eigenvalue at 2 (Beyn finds it as two copies, which
+    merge into one entry of multiplicity 2) and simple ones at 4.5, 4.4, -1
+    and 5."""
     P = np.random.Generator(np.random.Philox(7)).standard_normal((3, 3))
     r1, r2 = np.array([2.0, 2.0, -1.0]), np.array([4.5, 4.4, 5.0])
     P_inv = np.linalg.inv(P)
@@ -275,8 +276,8 @@ def double_root_poly() -> MatrixPolynomial:
 class TestCrossContourMerge:
     def test_overlap_eigenvalue_reported_once_from_deeper_contour(self):
         # k = 2 lies in both contours: at depth 0.42 in the wide one and near
-        # the edge (depth 0.67, 12 nodes) of the narrow one, whose copy is
-        # off by ~3e-4 -- beyond the old 1e-6 merge, inside 10 * residual_tol
+        # the edge (depth 0.67, 12 nodes) of the narrow one, so the wide
+        # contour's copy is kept
         wide, narrow = ContourSpec(1.5, 1.2, 24), ContourSpec(2.6, 0.9, 12)
         cfg = StudyConfig(method="bie", bie=BieSettings(
             contours=(narrow, wide), beyn=BeynConfig(probe_columns=4)))
@@ -285,6 +286,18 @@ class TestCrossContourMerge:
         assert eigs[0].contour == wide
         assert eigs[0].multiplicity == 2
         assert eigs[0].k == pytest.approx(2.0, abs=1e-8)
+
+
+class TestInContourMerge:
+    def test_each_copy_of_a_double_is_polished_before_the_merge(self):
+        # near the edge of the narrow 12-node contour the two reduced copies
+        # of k = 2 are ~3e-4 off; each is polished, then the two merge
+        eigs = beyn_solve(double_root_poly(), ContourSpec(2.6, 0.9, 12),
+                          BeynConfig(probe_columns=4))
+        near = [e for e in eigs if abs(e.k - 2.0) < 1e-3]
+        assert len(near) == 1
+        assert near[0].multiplicity == 2
+        assert abs(near[0].k - 2.0) <= 1e-7
 
 
 class TestEmission:
