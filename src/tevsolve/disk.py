@@ -12,10 +12,10 @@ plane from argument-principle counts and moments on boxes (complex_roots).
 
 det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s.
 The real-axis scan of a study's material points (a lambda -> 1 study, an
-n, eta or lambda sweep) therefore evaluates J_m and J'_m at k once per mode
-for all of them, and at k s once per mode and distinct n; each point keeps
-its own bracketing and bisection, so its roots are those of a one-point
-scan.  The modes are independent tasks on the ``jobs`` pool.
+n, eta or lambda sweep) evaluates all its modes at once: J_m once at k and
+at k s once per distinct n, and J'_m = (J_{m-1} - J_{m+1}) / 2 from the same
+table.  Each point keeps its own bracketing and bisection, so its roots are
+those of a one-point scan.  Scan pieces, then modes, are ``jobs`` pool tasks.
 
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
@@ -39,6 +39,7 @@ DEFAULT_M_MAX = 10
 DEFAULT_K_MIN = 1.0e-3
 _SCAN_STEP_CAP = 0.01
 _SCAN_STEP_FLOOR = 1.0e-4
+_SCAN_PIECE = 1024  # grid points per scan task
 _MAX_ZEROS, _MAX_SPLITS, _POLISH_STEPS = 3, 40, 8  # per box, per search, per root
 _RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off the zero of det_m at k = 0
 
@@ -53,26 +54,44 @@ class DiskEigenvalue:
     residual: float
 
 
-def disk_determinant(m: int, k, p):
+def disk_determinant(m, k, p):
     """Evaluate det_m(k); vectorized over k, entire in k, real for real k.
 
     p is one MaterialParams, or a sequence of them: the result then has one
     row per point, (len(p),) + shape(k), each row bitwise equal to the
-    one-point value.  J_m and J'_m are evaluated once at k, and at k sqrt(n)
-    once per distinct n, one n at a time.
+    one-point value.  A sequence of orders m puts one row per order ahead of
+    those, equal (==) to the one-order value.  The Bessel tables (see
+    _bessel_table) are made once at k, and at k sqrt(n) once per distinct n.
     """
+    orders = (m,) if np.ndim(m) == 0 else tuple(m)
     points = (p,) if isinstance(p, MaterialParams) else tuple(p)
     k = np.asarray(k)
-    jm, jpm = bessel_j(m, k), bessel_j_prime(m, k)
-    out = np.empty((len(points),) + np.shape(k), np.result_type(k, jm, jpm))
+    jm, jpm = _bessel_table(orders, k)
+    out = np.empty((len(orders), len(points)) + np.shape(k), np.result_type(k, jm, jpm))
     for n in dict.fromkeys(q.n for q in points):
         rows = [i for i, q in enumerate(points) if q.n == n]
         s = points[rows[0]].sqrt_n
-        jm_s, jpm_s = bessel_j(m, k * s), bessel_j_prime(m, k * s)
+        jm_s, jpm_s = _bessel_table(orders, k * s)
         for i in rows:
             q = points[i]
-            out[i] = -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
-    return out[0] if isinstance(p, MaterialParams) else out
+            out[:, i] = -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
+    out = out[:, 0] if isinstance(p, MaterialParams) else out
+    return out[0] if np.ndim(m) == 0 else out
+
+
+def _bessel_table(orders, z):
+    """J_o(z) and J'_o(z) for each order o, one bessel_j call per order.
+
+    J'_o = (J_{o-1} - J_{o+1}) / 2 (DLMF 10.6.1, J_{-1} = -J_1) where both
+    neighbours are in the table, the sum scipy's jvp forms; bessel_j_prime
+    otherwise, so for orders 0..M only J'_M costs a call.
+    """
+    j = {o: bessel_j(o, z) for o in orders}
+    if 1 in j:
+        j[-1] = -j[1]
+    jp = [(j[o - 1] - j[o + 1]) / 2 if o - 1 in j and o + 1 in j else bessel_j_prime(o, z)
+          for o in orders]
+    return np.array([j[o] for o in orders]), np.array(jp)
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):
@@ -99,7 +118,7 @@ def _bisect(m: int, a: float, b: float, fa: float, p: MaterialParams, tol: float
         fc = float(disk_determinant(m, c, p))
         if fc == 0.0:
             return c
-        if fa * fc < 0:
+        if (fa < 0) != (fc < 0):  # signs, not fa * fc < 0: that underflows at high m
             b = c
         else:
             a, fa = c, fc
@@ -131,11 +150,11 @@ def real_roots_many(
 
     Scans each det_m on a uniform grid of spacing min(0.01, tol * 1e6),
     floored at 1e-4, brackets sign changes, and refines by bisection to an
-    interval of width tol.  Each mode m is one
-    task on a pool of ``jobs`` threads: it scans det_m for all points at
-    once (see disk_determinant) and bisects each point's brackets.  The
-    modes merge in order, so each point's root list equals its one-point
-    scan at any ``jobs``.
+    interval of width tol.  The grid is cut into pieces of 1024 points, each
+    one task on a pool of ``jobs`` threads: it evaluates every mode for all
+    points at once (see disk_determinant) and keeps the signs.  Then each mode
+    is one task that bisects each point's brackets.  The modes merge in order,
+    so each point's root list equals its one-point scan at any ``jobs``.
     k_min must be positive: k = 0 is an analytic zero of every det_m with
     m >= 1 and never an eigenvalue.
     """
@@ -153,28 +172,34 @@ def real_roots_many(
         return []
     ks = np.arange(k_min, k_max + h, h)
     ks = ks[ks <= k_max]
+    modes = range(m_max + 1)
+
+    def piece_signs(piece: np.ndarray) -> np.ndarray:
+        return np.sign(disk_determinant(modes, piece, points)).astype(np.int8)
+
+    pieces = [ks[i:i + _SCAN_PIECE] for i in range(0, len(ks), _SCAN_PIECE)]
+    signs = np.concatenate(_map(piece_signs, pieces, jobs), axis=-1)  # (mode, point, k)
 
     def scan(m: int) -> list[list[DiskEigenvalue]]:
         mult = 1 if m == 0 else 2
         found: list[list[DiskEigenvalue]] = []
-        for p, vals in zip(points, disk_determinant(m, ks, points)):
+        for p, sign in zip(points, signs[m]):
             out: list[DiskEigenvalue] = []
-            sign = np.sign(vals)
             hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             for i in hits:
-                root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(vals[i]), p, tol)
+                root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(sign[i]), p, tol)
                 residual = abs(complex(disk_determinant(m, root, p)))
                 out.append(DiskEigenvalue(complex(root), m, mult, residual))
             # an exact zero is a root only between a sign change; where det_m
             # underflows (high m, small k) its neighbours are zero too
-            zeros = np.nonzero(vals[1:-1] == 0.0)[0] + 1
+            zeros = np.nonzero(sign[1:-1] == 0)[0] + 1
             for i in zeros[sign[zeros - 1] * sign[zeros + 1] < 0]:
                 out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
             found.append(out)
         return found
 
-    modes = _map(scan, range(m_max + 1), jobs)
-    outs = [[e for mode in modes for e in mode[i]] for i in range(len(points))]
+    found = _map(scan, modes, jobs)
+    outs = [[e for mode in found for e in mode[i]] for i in range(len(points))]
     for out in outs:
         out.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
     return outs

@@ -6,7 +6,7 @@ detection with the failing pivot index, convergence failures) and keep results
 deterministic for a fixed input.  Matrices here are dense and at most a few
 hundred rows, so multithreaded BLAS buys nothing; parallelism lives at the
 task level, in the one thread pool of :func:`_map`: Beyn's contour nodes and
-the trace ratios and SVDs after them, and the disk's angular modes.  The
+the trace ratios and SVDs after them, the disk's scan pieces and modes.  The
 tasks spend their time in LAPACK and in the Amos Bessel routines, which
 release the GIL.
 """

@@ -430,7 +430,7 @@ def _real_values(eigs) -> list[float]:
 def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
     """The distinct real eigenvalues at each point, in order.
 
-    The determinant path scans all points in one pass, its modes on the
+    The determinant path scans all points and modes in one pass, on the
     pool; the BIE path solves each point when its values are asked for.
     """
     if cfg.method == "determinant":

@@ -125,13 +125,25 @@ class TestRealRoots:
         # h = 1e-2 on (1, 2); a linear det_0 vanishing exactly at the 51st point
         k0 = np.arange(1.0, 2.01, 0.01)[50]
 
-        def linear(m, k, p):
+        def linear(m, k, p):  # shaped as disk_determinant shapes orders and points
             vals = np.asarray(k) - k0
-            return vals if isinstance(p, MaterialParams) else np.array([vals] * len(p))
+            if not isinstance(p, MaterialParams):
+                vals = np.array([vals] * len(p))
+            return vals if np.ndim(m) == 0 else np.array([vals] * len(m))
 
         monkeypatch.setattr(disk, "disk_determinant", linear)
         eigs = real_roots(EX34, m_max=0, k_range=(1.0, 2.0), tol=1e-8)
         assert [(e.k, e.residual) for e in eigs] == [(k0, 0.0)]
+
+    def test_localised_mode_roots_match_mpmath(self):
+        # m ~ eta / (lam - 1) = 60: |det_m| < 1e-190 about these roots, so a
+        # bisection testing fa * fc < 0 sees 0 and walks to the bracket's end
+        p = MaterialParams(4.0, 1.0, 1.0 + 1.02 / 60)
+        eigs = [e for e in real_roots(p, 60, (0.2, 3.0)) if e.mode_m >= 59]
+        assert [e.mode_m for e in eigs] == [59, 60]
+        for e in eigs:
+            m, k = disk_root_mp(p, e.k.real, 60)
+            assert m == e.mode_m and abs(e.k.real - k) <= 1e-9
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
@@ -189,6 +201,39 @@ class TestSharedScan:
             assert all(np.array_equal(row, one) for row, one in zip(rows, singles))
         # per call: once at k, once at k sqrt(n) for each of the 3 distinct n
         assert calls == {"bessel_j": 2 * 4, "bessel_j_prime": 2 * 4}
+
+    def test_order_rows_equal_one_order_values(self):
+        points = [EX34, MaterialParams(3.0, 1.0, 0.5), MaterialParams(4.0, 1.0, 0.5)]
+        grid = np.linspace(0.01, 10.0, 1001)
+        for k in (grid, (1.0 + 0.3j) * grid, 2.5 + 0.3j):
+            for m_max in (0, 1, 8, 60):
+                rows = disk_determinant(range(m_max + 1), k, points)
+                assert rows.shape == (m_max + 1, len(points)) + np.shape(k)
+                for m, row in enumerate(rows):
+                    assert np.array_equal(row, disk_determinant(m, k, points))
+        # one point: the point axis goes
+        rows = disk_determinant([2, 3], grid, EX34)
+        assert all(np.array_equal(row, disk_determinant(m, grid, EX34))
+                   for m, row in zip((2, 3), rows))
+
+    def test_one_bessel_call_per_order_and_argument(self, monkeypatch):
+        points = [EX34, MaterialParams(3.0, -0.01, 2.0), MaterialParams(4.0, 1.0, 0.5)]
+        calls = {"bessel_j": [], "bessel_j_prime": []}
+
+        def counted(name):
+            original = getattr(disk, name)
+
+            def call(m, z):
+                calls[name].append(m)
+                return original(m, z)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(disk, name, counted(name))
+        disk_determinant(range(9), np.linspace(0.01, 10.0, 1001), points)
+        # at k and at k sqrt(n) for the 2 distinct n; J'_m from J_{m -/+ 1} below the top
+        assert sorted(calls["bessel_j"]) == sorted(list(range(9)) * 3)
+        assert calls["bessel_j_prime"] == [8] * 3
 
     def test_n_sweep_roots_do_not_depend_on_jobs(self):
         # the two n sweeps of the disk-n-sweep benchmark: 9 points, 9 distinct n

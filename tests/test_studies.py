@@ -145,6 +145,7 @@ class TestSharedScan:
 
     @staticmethod
     def count_scans(monkeypatch):
+        """The (mode, k) pairs of the grid evaluations; each covers all points at once."""
         from tevsolve import disk
 
         scans = []
@@ -152,18 +153,24 @@ class TestSharedScan:
 
         def counted(m, k, p):
             if np.ndim(k):
-                scans.append(m)
+                scans.extend((int(o), x) for o in np.atleast_1d(m) for x in np.ravel(k).tolist())
             return original(m, k, p)
 
         monkeypatch.setattr(disk, "disk_determinant", counted)
         return scans
+
+    @staticmethod
+    def assert_each_scanned_once(scans, modes):
+        grid = {x for _, x in scans}
+        assert len(scans) == len(set(scans)) == len(modes) * len(grid)
+        assert set(scans) == {(m, x) for m in modes for x in grid}
 
     def test_convergence_study_scans_each_mode_once(self, monkeypatch):
         scans = self.count_scans(monkeypatch)
         cfg = disk_cfg(material=MaterialParams(4.0, 1.0, 1.0),
                        determinant=DeterminantSettings(m_max=3, k_range=(2.0, 4.0)))
         run_convergence_study(cfg, side="below", p_max=3)
-        assert sorted(scans) == [0, 1, 2, 3]
+        self.assert_each_scanned_once(scans, [0, 1, 2, 3])
 
     def test_eta_sweep_scans_each_mode_once(self, monkeypatch):
         scans = self.count_scans(monkeypatch)
@@ -171,7 +178,7 @@ class TestSharedScan:
                        determinant=DeterminantSettings(m_max=3, k_range=(1.0, 5.0)),
                        sweep_field="eta", sweep_values=(1.0, 2.0, 3.0), jobs=2)
         run_monotonicity_sweep(cfg)
-        assert sorted(scans) == [0, 1, 2, 3]
+        self.assert_each_scanned_once(scans, [0, 1, 2, 3])
 
     def test_n_sweep_scans_each_point(self, monkeypatch):
         scans = self.count_scans(monkeypatch)
@@ -179,7 +186,7 @@ class TestSharedScan:
                        determinant=DeterminantSettings(m_max=1, k_range=(1.0, 5.0)),
                        sweep_field="n", sweep_values=(3.0, 4.0, 5.0), jobs=2)
         run_monotonicity_sweep(cfg)
-        assert sorted(scans) == [0, 1]
+        self.assert_each_scanned_once(scans, [0, 1])
 
     def test_tracking_lost_at_first_short_window(self):
         # the limit holds 3 eigenvalues in (2.76, 3.33); p = 1, 2 and 3 hold
