@@ -10,12 +10,12 @@ is entire in k and real on the real axis for real parameters, so real roots
 are found by sign-change bracketing, and those in a rectangle of the complex
 plane from argument-principle counts and moments on boxes (complex_roots).
 
-det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s.
-The real-axis scan of a study's material points (a lambda -> 1 study, an
-n, eta or lambda sweep) evaluates all its modes at once: J_m once at k and
-at k s once per distinct n, and J'_m = (J_{m-1} - J_{m+1}) / 2 from the same
-table.  Each point keeps its own bracketing and bisection, so its roots are
-those of a one-point scan.  Scan pieces, then modes, are ``jobs`` pool tasks.
+det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s, and
+so is det_m' (J''_m by Bessel's equation).  The real-axis scan of a study's
+points (a lambda -> 1 study, an n, eta or lambda sweep) evaluates all modes at
+once: J_m once at k and at k s once per distinct n, and J'_m = (J_{m-1} -
+J_{m+1}) / 2 from the same table.  Each point bisects its own brackets, so its
+roots are those of a one-point scan.  Scan pieces, then modes, are pool tasks.
 
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
@@ -33,7 +33,7 @@ from . import linalg
 from .errors import ConfigError, NumericalFailure, SingularMatrix
 from .linalg import _map
 from .materials import MaterialParams
-from .special import MAX_ORDER, bessel_j, bessel_j_prime, bessel_j_second
+from .special import MAX_ORDER, bessel_j, bessel_j_prime
 
 DEFAULT_M_MAX = 10
 DEFAULT_K_MIN = 1.0e-3
@@ -95,21 +95,16 @@ def _bessel_table(orders, z):
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):
-    """Analytic d/dk of det_m(k), via the Bessel derivative recurrences."""
-    s = p.sqrt_n
-    jm_s = bessel_j(m, k * s)
-    jm = bessel_j(m, k)
-    jp_s = bessel_j_prime(m, k * s)
-    jp = bessel_j_prime(m, k)
-    jpp_s = bessel_j_second(m, k * s)
-    jpp = bessel_j_second(m, k)
-    # det_m = -A B + C D with A = J_m(ks), B = k J'_m(k) + eta J_m(k),
-    # C = lam k s J'_m(ks), D = J_m(k)
-    a, ap = jm_s, s * jp_s
-    b, bp = k * jp + p.eta * jm, jp + k * jpp + p.eta * jp
-    c, cp = p.lam * k * s * jp_s, p.lam * s * jp_s + p.lam * k * s * s * jpp_s
-    d, dp = jm, jp
-    return -ap * b - a * bp + cp * d + c * dp
+    """Analytic d/dk of det_m(k), from det_m's own J_m, J'_m table (_bessel_table)
+    and Bessel's equation for J''_m (DLMF 10.2.1).  det_m is even in k, so this
+    is 0.0 at k = 0 for every m.
+    """
+    s, lam = p.sqrt_n, p.lam
+    (jm,), (jp,) = _bessel_table((m,), k)
+    (jm_s,), (jp_s,) = _bessel_table((m,), k * s)
+    k_or_1 = np.where(k == 0, 1, k)  # the m^2/k term: J_m(0) = 0 for m >= 1
+    return (k * s * (lam - 1) * jp_s * jp - p.eta * (s * jp_s * jm + jm_s * jp)
+            + (k * (1 - lam * p.n) + (lam - 1) * m * m / k_or_1) * jm_s * jm)
 
 
 def _bisect(m: int, a: float, b: float, fa: float, p: MaterialParams, tol: float) -> float:

@@ -103,7 +103,8 @@ def bessel_j_prime(m: int, z):
 
 
 def bessel_j_second(m: int, z):
-    """Second derivative J''_m(z), via (J_{m-2} - 2 J_m + J_{m+2})/4."""
+    """Second derivative J''_m(z), via (J_{m-2} - 2 J_m + J_{m+2})/4.  No caller in
+    the package; kept for the TARGETS of perfbench/tracer.py."""
     return _bessel_j(m, z, 2)
 
 

@@ -43,6 +43,7 @@ from .errors import ConfigError, NumericalError, TrackingLost
 from .geometry import parse_shape, sample
 from .linalg import _map
 from .materials import REGIME_OUTSIDE, MaterialParams
+from .special import MAX_ORDER
 
 logger = logging.getLogger(__name__)
 
@@ -109,8 +110,10 @@ class StudyConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.converge_side not in ("below", "above"):
             raise ConfigError(f"side must be 'below' or 'above', got {self.converge_side!r}")
-        if self.converge_p_max < 1:
-            raise ConfigError(f"p_max must be >= 1, got {self.converge_p_max}")
+        if self.converge_p_max < 1 or lambda_at(self.converge_side, self.converge_p_max) == 1.0:
+            raise ConfigError(f"p_max must be >= 1 with lambda_p != 1.0, got {self.converge_p_max}")
+        if not 0 <= self.grid_m <= MAX_ORDER:
+            raise ConfigError(f"grid m must be in 0..{MAX_ORDER}, got {self.grid_m}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0 (0: all cores), got {self.jobs}")
         if self.sweep_field is not None:
@@ -505,7 +508,7 @@ def compute_eoc(errors) -> list[float | None]:
 
 
 def lambda_at(side: str, p: int) -> float:
-    return 1.0 - 2.0 ** -p if side == "below" else 1.0 + 2.0 ** -p
+    return 1.0 - math.ldexp(1.0, -p) if side == "below" else 1.0 + math.ldexp(1.0, -p)
 
 
 def run_convergence_study(cfg: StudyConfig, side: str | None = None,

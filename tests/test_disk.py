@@ -1,10 +1,13 @@
 """Unit-disk determinant path: determinant values, real/complex roots, grids,
 and the circle operator symbol."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import jv, jvp
 
-from tevsolve import disk
+from tevsolve import disk, special
 from tevsolve.disk import (
     complex_roots,
     determinant_grid,
@@ -82,6 +85,46 @@ class TestDeterminant:
             fd = (disk_determinant(m, k + h, EX34) - disk_determinant(m, k - h, EX34)) / (2 * h)
             an = disk_determinant_prime(m, k, EX34)
             assert abs(an - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def determinant_prime_reference(m, k, p):
+    """d/dk of det_m term by term, with J''_m from scipy's jvp (no Bessel's equation)."""
+    s = p.sqrt_n
+    jm_s, jm, jp_s, jp = jv(m, k * s), jv(m, k), jvp(m, k * s), jvp(m, k)
+    jpp_s, jpp = jvp(m, k * s, 2), jvp(m, k, 2)
+    # det_m = -A B + C D with A = J_m(ks), B = k J'_m(k) + eta J_m(k),
+    # C = lam k s J'_m(ks), D = J_m(k)
+    a, ap = jm_s, s * jp_s
+    b, bp = k * jp + p.eta * jm, jp + k * jpp + p.eta * jp
+    c, cp = p.lam * k * s * jp_s, p.lam * s * jp_s + p.lam * k * s * s * jpp_s
+    d, dp = jm, jp
+    return -ap * b - a * bp + cp * d + c * dp
+
+
+class TestDeterminantPrime:
+    def test_matches_second_derivative_reference(self):
+        rng = np.random.default_rng(3)
+        k = rng.uniform(0.01, 10.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400)
+        for p in SEARCH_MATERIALS:
+            for m in (0, 1, 2, 5, 8, 20, 40, MAX_ORDER):
+                want = determinant_prime_reference(m, k, p)
+                got = disk_determinant_prime(m, k, p)
+                normal = np.abs(want) >= np.finfo(float).tiny  # high m, small k: underflow
+                assert np.mean(normal) >= 0.9
+                assert np.all(np.abs(got - want)[normal] <= 1e-10 * np.abs(want[normal])), (m, p)
+                assert np.all(np.abs(got[~normal]) < 1e-300)
+
+    def test_zero_at_origin_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in SEARCH_MATERIALS:
+                for m in (0, 1, 5, MAX_ORDER):
+                    assert disk_determinant_prime(m, 0.0, p) == 0.0
+                    for k in (np.zeros(3), np.array([0.0, 0.5j, 2.0])):
+                        got = disk_determinant_prime(m, k, p)
+                        assert got[0] == 0.0
+                        assert np.allclose(got, determinant_prime_reference(m, k, p),
+                                           rtol=1e-10, atol=0.0)
 
 
 class TestRealRoots:
@@ -218,22 +261,32 @@ class TestSharedScan:
 
     def test_one_bessel_call_per_order_and_argument(self, monkeypatch):
         points = [EX34, MaterialParams(3.0, -0.01, 2.0), MaterialParams(4.0, 1.0, 0.5)]
-        calls = {"bessel_j": [], "bessel_j_prime": []}
+        calls = {"bessel_j": [], "bessel_j_prime": [], "bessel_j_second": []}
 
         def counted(name):
-            original = getattr(disk, name)
+            original = getattr(special, name)
 
             def call(m, z):
-                calls[name].append(m)
+                calls[name].append((m, z))
                 return original(m, z)
             return call
 
-        for name in calls:
-            monkeypatch.setattr(disk, name, counted(name))
+        for name in calls:  # disk imports no bessel_j_second: a call would land here
+            monkeypatch.setattr(disk, name, counted(name), raising=False)
         disk_determinant(range(9), np.linspace(0.01, 10.0, 1001), points)
         # at k and at k sqrt(n) for the 2 distinct n; J'_m from J_{m -/+ 1} below the top
-        assert sorted(calls["bessel_j"]) == sorted(list(range(9)) * 3)
-        assert calls["bessel_j_prime"] == [8] * 3
+        assert sorted(m for m, _ in calls["bessel_j"]) == sorted(list(range(9)) * 3)
+        assert [m for m, _ in calls["bessel_j_prime"]] == [8] * 3
+        # det_m': J_m and J'_m once each at k and at k sqrt(n), and no J''_m
+        for name in calls:
+            calls[name].clear()
+        k = np.linspace(0.01, 10.0, 101) + 0.2j
+        disk_determinant_prime(5, k, EX34)
+        for name in ("bessel_j", "bessel_j_prime"):
+            assert [m for m, _ in calls[name]] == [5, 5]
+            assert sorted(tuple(z[:2]) for _, z in calls[name]) == sorted(
+                (tuple(k[:2]), tuple(k[:2] * EX34.sqrt_n)))
+        assert calls["bessel_j_second"] == []
 
     def test_n_sweep_roots_do_not_depend_on_jobs(self):
         # the two n sweeps of the disk-n-sweep benchmark: 9 points, 9 distinct n

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tevsolve.beyn import BeynConfig, ContourSpec, beyn_solve
-from tevsolve.cli import _build_parser
+from tevsolve.cli import _build_parser, main
 from tevsolve.errors import ConfigError, TrackingLost
 from tevsolve.materials import MaterialParams
 from tevsolve.studies import (
@@ -101,6 +101,19 @@ class TestConvergenceStudy:
         for p_max in (0, -2):
             with pytest.raises(ConfigError, match="p_max must be >= 1"):
                 run_convergence_study(cfg, side="below", p_max=p_max)
+
+    def test_p_max_past_double_precision_rejected(self, capsys):
+        # 1 + 2^-53 and 1 - 2^-54 round to 1.0: those rows would be the limit problem
+        cfg = disk_cfg(determinant=DeterminantSettings(m_max=2, k_range=(2.0, 4.0)))
+        assert replace(cfg, converge_side="above", converge_p_max=52).converge_p_max == 52
+        assert replace(cfg, converge_side="below", converge_p_max=53).converge_p_max == 53
+        for side, p_max in (("above", 53), ("below", 54), ("below", 10**400)):
+            with pytest.raises(ConfigError, match="lambda_p != 1.0"):
+                run_convergence_study(cfg, side=side, p_max=p_max)
+        assert main(["converge", "--method", "determinant", "--n", "4", "--eta", "1",
+                     "--lambda", "1", "--side", "above", "--pmax", "54", "--k-range", "2,4",
+                     "--m-max", "3"]) == 2
+        assert "p_max must be >= 1 with lambda_p != 1.0, got 54" in capsys.readouterr().err
 
 
 class TestMonotonicitySweep:
@@ -576,6 +589,14 @@ class TestCli:
         )
         assert proc.returncode == 2, proc.stderr
         assert "m_max must be in 0..60" in proc.stderr
+
+    def test_grid_mode_outside_bessel_orders_exit_code(self, capsys):
+        grid = ["grid", "--n", "4", "--eta", "-0.01", "--lambda", "2", "--region", "1,2,-0.1,0.1",
+                "--nx", "3", "--ny", "2", "--quiet"]
+        for m in ("-1", "61"):
+            assert main([*grid, "--m", m]) == 2
+            assert f"grid m must be in 0..60, got {m}" in capsys.readouterr().err
+        assert main([*grid, "--m", "60"]) == 0
 
     def test_numerical_failure_exit_code(self):
         proc = self.run_cli(
