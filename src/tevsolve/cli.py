@@ -6,7 +6,8 @@
     tevsolve sweep     --config cfg.json [overrides]
     tevsolve selftest
 
-Flags override config keys.  Exit codes: 0 success, 2 configuration error,
+Flags override config keys.  Exit codes: 0 success, 2 configuration error
+(any bad input: a value, a degenerate curve, an unwritable output file),
 3 numerical failure, 4 partial results.
 """
 
@@ -17,7 +18,7 @@ import json
 import logging
 import sys
 
-from .errors import ConfigError, NumericalError, TevError
+from .errors import ConfigError, NumericalError
 from .studies import (
     COMMANDS,
     CONFIG_KEYS,
@@ -116,10 +117,8 @@ def main(argv=None) -> int:
             if any(not r.complete for r in result.rows):
                 partial.append("incomplete sweep rows")
             table = sweep_table(result)
-        elif args.command == "grid":
+        else:  # grid; argparse admits no other command
             table = grid_table(run_contour_grid(cfg))
-        else:  # pragma: no cover - argparse guards this
-            raise ConfigError(f"unknown command {args.command!r}")
         text = write_table(table, cfg.out, cfg.fmt)
         if not args.quiet:
             if args.command == "grid" and cfg.out:
@@ -134,9 +133,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except TevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

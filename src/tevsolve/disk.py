@@ -46,7 +46,10 @@ _RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off the zero of det_m at k 
 
 @dataclass(frozen=True)
 class DiskEigenvalue:
-    """A root of det_m: eigenvalue k, its mode index, multiplicity, residual."""
+    """A root of det_m: eigenvalue k, its mode index, multiplicity, residual.
+
+    residual is the absolute |det_m(k)|, not a relative one: far below 1e-200
+    at high m, and not comparable across modes."""
 
     k: complex
     mode_m: int

@@ -2,11 +2,15 @@
 
 
 class TevError(Exception):
-    """Base class for all tevsolve errors."""
+    """Base class for all tevsolve errors: each is a ConfigError or a NumericalError."""
 
 
 class ConfigError(TevError):
     """Invalid configuration, CLI arguments, or operation preconditions."""
+
+
+class GeometryError(ConfigError):
+    """Degenerate boundary curve (irregular, self-touching, or misoriented): bad input."""
 
 
 class NumericalError(TevError):
@@ -35,10 +39,6 @@ class SingularMatrix(NumericalError):
 
 class NumericalFailure(NumericalError):
     """Iterative linear-algebra kernel failed to converge."""
-
-
-class GeometryError(TevError):
-    """Boundary curve is degenerate (irregular, self-touching, or misoriented)."""
 
 
 class PoleError(NumericalError):

@@ -90,31 +90,33 @@ def length_and_area(curve: BoundaryCurve) -> tuple[float, float]:
 def make_curve(kind: str, **params) -> BoundaryCurve:
     """Construct a boundary curve.
 
-    kind "circle" (param r, default 1), "ellipse" (params a, b),
-    "kite" (fixed shape), or "trig" (params xc, xs, yc, ys coefficient
-    sequences).
+    kind "circle" (radius r, default 1), "ellipse" (semi-axes a, b), "kite"
+    (fixed shape), or "trig" (finite coefficient sequences xc, xs, yc, ys).
+    Sizes must be finite and positive; a degenerate curve raises GeometryError.
     """
     zero = (0.0,)
     if kind == "circle":
         r = float(params.pop("r", 1.0))
-        if r <= 0:
-            raise ConfigError("circle radius must be positive")
+        if not 0 < r < np.inf:
+            raise ConfigError(f"circle radius r must be finite and positive, got {r}")
         c = BoundaryCurve("circle", (0.0, r), zero * 2, zero * 2, (0.0, r))
     elif kind == "ellipse":
         a = float(params.pop("a", 1.0))
         b = float(params.pop("b", 1.0))
-        if a <= 0 or b <= 0:
-            raise ConfigError("ellipse semi-axes must be positive")
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ConfigError(f"ellipse semi-axes a, b must be finite and positive, got {a}, {b}")
         c = BoundaryCurve("ellipse", (0.0, a), zero * 2, zero * 2, (0.0, b))
     elif kind == "kite":
         c = BoundaryCurve("kite", (0.0, 0.75, 0.3), zero * 3, zero * 3, (0.0, 1.0, 0.0))
     elif kind == "trig":
         try:
             coeffs = [tuple(float(v) for v in params.pop(key)) for key in ("xc", "xs", "yc", "ys")]
-        except KeyError as exc:
-            raise ConfigError(f"trig curve requires coefficient sequences xc, xs, yc, ys") from exc
+        except (KeyError, TypeError) as exc:
+            raise ConfigError("trig curve requires coefficient sequences xc, xs, yc, ys") from exc
         width = max(len(c) for c in coeffs)
         coeffs = [c + (0.0,) * (width - len(c)) for c in coeffs]
+        if not np.isfinite(coeffs).all():
+            raise ConfigError("trig curve coefficients must be finite")
         c = BoundaryCurve("trig", *coeffs)
     else:
         raise ConfigError(f"unknown curve kind {kind!r}")
@@ -124,7 +126,7 @@ def make_curve(kind: str, **params) -> BoundaryCurve:
 
 
 def parse_shape(spec: str) -> BoundaryCurve:
-    """Parse a CLI shape spec: ``circle:r=1``, ``ellipse:a=1,b=1.2``, ``kite``."""
+    """Parse a CLI shape spec: ``circle:r=1``, ``ellipse:a=1,b=1.2``, ``kite`` (no ``trig``)."""
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()

@@ -23,7 +23,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,7 @@ from .disk import (
     real_roots_many,
 )
 from .errors import ConfigError, NumericalError, TrackingLost
-from .geometry import parse_shape, sample
+from .geometry import BoundaryCurve, parse_shape, sample
 from .linalg import _map
 from .materials import REGIME_OUTSIDE, MaterialParams
 from .special import MAX_ORDER
@@ -56,16 +56,13 @@ DISTINCT_TOL = 1.0e-9      # distinct-k tolerance for table columns
 # configuration
 # ---------------------------------------------------------------------------
 def _parse_mu(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(_real(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real(value[0]), _real(value[1]))
+    """A contour center from a number, a [re, im] pair or a string like 2.2+0.6i."""
     if isinstance(value, str):
-        try:
-            return complex(value.replace("i", "j").replace(" ", ""))
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse contour center {value!r}")
+        z = complex(value.replace("i", "j").replace(" ", ""))
+        value = [z.real, z.imag]
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(value[0]), _real(value[1]))
+    return complex(_real(value))
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.method not in ("determinant", "bie"):
             raise ConfigError(f"method must be 'determinant' or 'bie', got {self.method!r}")
-        if self.method == "determinant" and self.shape.split(":")[0] != "circle":
-            raise ConfigError("the determinant method applies to the unit disk (shape circle:r=1)")
+        if self.curve != parse_shape("circle") and self.method == "determinant":
+            raise ConfigError(f"the determinant method takes only the unit circle: {self.shape!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.converge_side not in ("below", "above"):
@@ -116,15 +113,19 @@ class StudyConfig:
             raise ConfigError(f"grid m must be in 0..{MAX_ORDER}, got {self.grid_m}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0 (0: all cores), got {self.jobs}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"out: the directory of {self.out!r} does not exist")
         if self.sweep_field is not None:
             if self.sweep_field not in ("n", "eta", "lambda"):
                 raise ConfigError(f"sweep field must be n, eta or lambda, got {self.sweep_field!r}")
-            vals = self.sweep_values
-            if not vals:
-                raise ConfigError("sweep values must be a nonempty list")
-            diffs = np.diff(vals)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ConfigError("sweep values must be strictly monotone")
+            diffs = np.diff(self.sweep_values)
+            if not self.sweep_values or not (np.all(diffs > 0) or np.all(diffs < 0)):
+                raise ConfigError("sweep values must be a nonempty, strictly monotone list")
+
+    @cached_property
+    def curve(self) -> BoundaryCurve:
+        """The parsed shape; __post_init__ reads it first, so a bad shape fails construction."""
+        return parse_shape(self.shape)
 
     @property
     def effective_jobs(self) -> int:
@@ -180,10 +181,12 @@ def _text(value) -> str:
 
 
 def _real(value) -> float:
-    """A float from a JSON number or a flag string; booleans are rejected."""
+    """A finite float from a JSON number or a flag string; no boolean, NaN or inf."""
     if isinstance(value, bool):
         raise TypeError("expected a number, not a boolean")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _integer(value) -> int:
@@ -382,11 +385,6 @@ def _rows_from_nep(eigs: list[NepEigenvalue]) -> list[SpectrumRow]:
     ]
 
 
-def _nep_for(cfg: StudyConfig, params: MaterialParams) -> HelmholtzNep:
-    curve = parse_shape(cfg.shape)
-    return HelmholtzNep(sample(curve, cfg.bie.nodes), params)
-
-
 def _bie_eigenvalues(cfg: StudyConfig, nep: HelmholtzNep, partial_errors: list | None = None
                      ) -> list[NepEigenvalue]:
     """Union of Beyn solves over the configured contours, deduplicated."""
@@ -442,7 +440,7 @@ def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
                                     jobs=cfg.effective_jobs):
             yield _real_values(eigs)
         return
-    nep = _nep_for(cfg, cfg.material)
+    nep = HelmholtzNep(sample(cfg.curve, cfg.bie.nodes), cfg.material)
     for params in points:
         yield _real_values(_bie_eigenvalues(cfg, nep.with_params(params)))
 
@@ -470,7 +468,7 @@ def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[S
                      if all(d.mode_m != e.mode_m or abs(d.k - e.k) >= MERGE_TOL for d in eigs)]
         eigs.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
         return _rows_from_disk(eigs)
-    nep = _nep_for(cfg, cfg.material)
+    nep = HelmholtzNep(sample(cfg.curve, cfg.bie.nodes), cfg.material)
     return _rows_from_nep(_bie_eigenvalues(cfg, nep, partial_errors))
 
 
@@ -677,20 +675,21 @@ def grid_table(grid) -> list[list[str]]:
 
 
 def write_table(table: list[list[str]], out: str | None, fmt: str) -> str:
-    """Serialize a header+rows table as CSV or JSON; write to out when given."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(table)
-        text = buf.getvalue()
-    elif fmt == "json":
+    """Serialize a header+rows table as JSON if fmt is "json", else as CSV (the
+    one other format StudyConfig admits); write to out when given."""
+    if fmt == "json":
         header, *rows = table
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
     else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     return text
 
 

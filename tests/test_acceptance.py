@@ -253,6 +253,7 @@ def _nine_real(shape: str, contours) -> list[float]:
     return reals[:9]
 
 
+@pytest.mark.slow
 def test_criterion_4_ellipse_and_kite_spectra():
     failures = []
     disk_expansion = small_k_expansion(parse_shape("circle:r=1"), EX34)
@@ -331,6 +332,7 @@ def _fourier_bessel_order(params: MaterialParams) -> int:
     return 16 + max(0, int(localised))
 
 
+@pytest.mark.slow
 def test_criterion_5_ellipse_convergence_tables():
     failures = []
     shape = parse_shape("ellipse:a=1,b=1.2")
@@ -489,6 +491,7 @@ def _check_sweep(result, name, expectations, tol, failures, oracle=None):
             )
 
 
+@pytest.mark.slow
 def test_criterion_6_monotonicity_tables():
     failures = []
     for name, material, field, values, k_range, expectations in DISK_SWEEPS:
@@ -507,6 +510,7 @@ def test_criterion_6_monotonicity_tables():
 # ---------------------------------------------------------------------------
 # criterion 7: eigenvalue lower bounds on the disk
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_7_lower_bounds():
     failures = []
     mu1 = bessel_j_positive_root(0, 1) ** 2  # first Dirichlet eigenvalue, unit disk

@@ -47,6 +47,15 @@ class TestMakeCurve:
         with pytest.raises(ConfigError):
             make_curve("kite", a=2.0)
 
+    def test_parameters_must_be_finite(self):
+        finite = {"xc": (0, 1), "xs": (0, 0), "yc": (0, 0)}
+        for kind, params in (("circle", {"r": np.nan}), ("circle", {"r": np.inf}),
+                             ("ellipse", {"a": 1.0, "b": np.nan}),
+                             ("trig", {**finite, "ys": (0, np.nan)}),
+                             ("trig", {**finite, "ys": (0, 1), "xc": 1.0})):
+            with pytest.raises(ConfigError):
+                make_curve(kind, **params)
+
 
 class TestParseShape:
     def test_specs(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tevsolve.beyn import BeynConfig, ContourSpec, beyn_solve
+from tevsolve import cli
 from tevsolve.cli import _build_parser, main
 from tevsolve.errors import ConfigError, TrackingLost
 from tevsolve.materials import MaterialParams
@@ -425,6 +426,21 @@ class TestConfig:
         cfg = config_from_dict({"bie": {"nodes": 240.0}})
         assert cfg.bie.nodes == 240 and type(cfg.bie.nodes) is int
 
+    def test_non_finite_numbers_rejected(self):
+        # one finiteness rule for every numeric key; the message names the key
+        for path, doc in (
+                ("determinant.tol", {"determinant": {"tol": math.nan}}),
+                ("determinant.k_range", {"determinant": {"k_range": [0.1, math.inf]}}),
+                ("material.eta", {"material": {"n": 4, "eta": -math.inf, "lambda": 2}}),
+                ("bie.contours[].mu", {"bie": {"contours": [{"mu": "nan+1i"}]}}),
+                ("bie.contours[].mu", {"bie": {"contours": [{"mu": [1, -math.inf]}]}}),
+                ("bie.contours[].radius", {"bie": {"contours": [{"mu": 1, "radius": math.nan}]}}),
+                ("bie.beyn.residual_tol", {"bie": {"beyn": {"residual_tol": math.inf}}}),
+                ("sweep.values", {"sweep": {"field": "n", "values": [1, math.nan]}})):
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict(doc)
+            assert str(exc.value).startswith(f"{path}: "), (path, str(exc.value))
+
     def test_removed_keys_rejected(self):
         for doc in ({"determinant": {"complex_grid": [201, 81]}},
                     {"bie": {"beyn": {"rank_tol": 1e-4}}}):
@@ -597,6 +613,53 @@ class TestCli:
             assert main([*grid, "--m", m]) == 2
             assert f"grid m must be in 0..60, got {m}" in capsys.readouterr().err
         assert main([*grid, "--m", "60"]) == 0
+
+    # a small determinant run: the one real root 3.4567 of mode 0 in [3, 4]
+    DISK = ("--m-max", "0", "--k-range", "3,4", "-q")
+    # each bad input: its argv and the text its message must hold ({tmp} is the
+    # test's scratch directory); all but out-unwritable fail before any solve
+    BAD_INPUTS = {
+        "disk-circle-r2": (("spectrum", "--shape", "circle:r=2", *DISK), "'circle:r=2'"),
+        "disk-circle-r-abc": (("spectrum", "--shape", "circle:r=abc", *DISK), "'r=abc'"),
+        "trig-scalar-coefficient": (("spectrum", "--method", "bie", "--shape", "trig:xc=1",
+                                     "--mu", "2"), "xc"),
+        "bie-circle-r-nan": (("spectrum", "--method", "bie", "--shape", "circle:r=nan",
+                              "--mu", "2"), "radius r must be finite and positive, got nan"),
+        "grid-region-nan": (("grid", "--region", "0,1,-1,nan", "--nx", "3", "-q"),
+                            "grid.region"),
+        "config-tol-nan": (("spectrum", "--config", "{tmp}/tol.json", *DISK),
+                           "determinant.tol"),
+        "bie-degenerate-circle": (("spectrum", "--method", "bie", "--shape", "circle:r=1e-300",
+                                   "--mu", "2"), "'circle' is irregular"),
+        "out-directory-missing": (("spectrum", "--out", "{tmp}/missing/x.csv", *DISK),
+                                  "{tmp}/missing/x.csv"),
+        "out-unwritable": (("spectrum", "--out", "{tmp}", *DISK), "cannot write output file"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_exit_code(self, case, tmp_path, capsys, monkeypatch):
+        (tmp_path / "tol.json").write_text('{"determinant": {"tol": NaN}}')
+        argv, text = self.BAD_INPUTS[case]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        text = text.replace("{tmp}", str(tmp_path))
+        if case != "out-unwritable":
+            def must_not_run(*args, **kwargs):
+                raise AssertionError("a bad input reached the solver")
+            for name in ("run_spectrum", "run_contour_grid"):
+                monkeypatch.setattr(cli, name, must_not_run)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), captured.err
+        assert text in lines[0], captured.err
+        assert captured.out == ""
+
+    def test_unit_circle_specs_run_the_determinant_path(self, capsys):
+        for shape in ("circle", "circle:r=1", "Circle"):
+            assert main(["spectrum", "--shape", shape, *self.DISK]) == 0, capsys.readouterr().err
+            rows = read_table_csv(capsys.readouterr().out)
+            assert len(rows) == 2 and rows[1][5] == "determinant", (shape, rows)
+            assert float(rows[1][0]) == pytest.approx(3.456704, abs=1e-6)
 
     def test_numerical_failure_exit_code(self):
         proc = self.run_cli(
