@@ -13,9 +13,10 @@ plane from argument-principle counts and moments on boxes (complex_roots).
 det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s, and
 so is det_m' (J''_m by Bessel's equation).  The real-axis scan of a study's
 points (a lambda -> 1 study, an n, eta or lambda sweep) evaluates all modes at
-once: J_m once at k and at k s once per distinct n, and J'_m = (J_{m-1} -
-J_{m+1}) / 2 from the same table.  Each point bisects its own brackets, so its
-roots are those of a one-point scan.  Scan pieces, then modes, are pool tasks.
+once, at k and at k s once per distinct n: scipy gives J_M and J'_M for the top
+mode M, and the downward recurrence J_{m-1} = (2m/z) J_m - J_{m+1} the modes
+below.  Each point bisects its own brackets one mode at a time, so its roots
+are those of a one-point scan.  Scan pieces, then modes, are pool tasks.
 
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, NumericalFailure, SingularMatrix
+from .errors import ConfigError, NumericalFailure, RangeError, SingularMatrix
 from .linalg import _map
 from .materials import MaterialParams
 from .special import MAX_ORDER, bessel_j, bessel_j_prime
@@ -42,6 +43,7 @@ _SCAN_STEP_FLOOR = 1.0e-4
 _SCAN_PIECE = 1024  # grid points per scan task
 _MAX_ZEROS, _MAX_SPLITS, _POLISH_STEPS = 3, 40, 8  # per box, per search, per root
 _RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off the zero of det_m at k = 0
+_J_FLOOR = 1.0e-280  # scipy's jv returns 0 for |J| below about 1e-289
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ def disk_determinant(m, k, p):
     p is one MaterialParams, or a sequence of them: the result then has one
     row per point, (len(p),) + shape(k), each row bitwise equal to the
     one-point value.  A sequence of orders m puts one row per order ahead of
-    those, equal (==) to the one-order value.  The Bessel tables (see
-    _bessel_table) are made once at k, and at k sqrt(n) once per distinct n.
+    those, within 1e-12 of the sum of the magnitudes of det_m's terms of the
+    one-order value (the recurrence of _bessel_table against scipy's J_m).  The
+    Bessel tables are made once at k, and at k sqrt(n) once per distinct n.
     """
     orders = (m,) if np.ndim(m) == 0 else tuple(m)
     points = (p,) if isinstance(p, MaterialParams) else tuple(p)
@@ -83,18 +86,37 @@ def disk_determinant(m, k, p):
 
 
 def _bessel_table(orders, z):
-    """J_o(z) and J'_o(z) for each order o, one bessel_j call per order.
+    """J_o(z) and J'_o(z) for each order o, from one J_M, J'_M pair, M = max(orders).
 
-    J'_o = (J_{o-1} - J_{o+1}) / 2 (DLMF 10.6.1, J_{-1} = -J_1) where both
-    neighbours are in the table, the sum scipy's jvp forms; bessel_j_prime
-    otherwise, so for orders 0..M only J'_M costs a call.
+    Two Bessel calls per argument.  Below them J_{M-1} = J'_M + (M/z) J_M
+    (DLMF 10.6.2) and J_{m-1} = (2m/z) J_m - J_{m+1} (DLMF 10.6.1) fill the
+    orders down to min(orders) - 1: run downward the recurrence is stable, since
+    J is its minimal solution (Gautschi 1967).  J'_o = (J_{o-1} - J_{o+1}) / 2
+    below the top, the sum scipy's jvp forms.  Where |J_M| < 1e-280 (high M at
+    small z, and z = 0) the recurrence has nothing sound to start from: scipy
+    flushes J_M, or the J_{M+1} inside J'_M, to 0 below about 1e-289.  Those
+    entries take J_o from bessel_j order by order, exact at z = 0.  A one-order
+    table is the two calls alone.  A non-finite value raises RangeError.
     """
-    j = {o: bessel_j(o, z) for o in orders}
-    if 1 in j:
-        j[-1] = -j[1]
-    jp = [(j[o - 1] - j[o + 1]) / 2 if o - 1 in j and o + 1 in j else bessel_j_prime(o, z)
-          for o in orders]
-    return np.array([j[o] for o in orders]), np.array(jp)
+    z = np.asarray(z)
+    lo, top = min(orders), max(orders)
+    j_top, jp_top = bessel_j(top, z), bessel_j_prime(top, z)
+    j = np.empty((top - lo + 2,) + z.shape, j_top.dtype)  # J_{lo-1} .. J_top
+    j[-1] = j_top
+    if lo < top:
+        flat = np.abs(j_top) < _J_FLOOR
+        inv_z = 1 / np.where(flat, 1, z)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            j[-2] = jp_top + top * inv_z * j_top
+            for m in range(top - 1, lo - 1, -1):
+                j[m - lo] = 2 * m * inv_z * j[m - lo + 1] - j[m - lo + 2]
+        if flat.any():
+            j[:-1, flat] = [bessel_j(m, z[flat]) for m in range(lo - 1, top)]
+        if not np.isfinite(j).all():
+            raise RangeError(f"J_{lo}..J_{top} overflowed or lost significance")
+    jp = np.concatenate(((j[:-2] - j[2:]) / 2, [jp_top]))
+    rows = np.subtract(orders, lo)
+    return j[rows + 1], jp[rows]
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):

@@ -58,7 +58,8 @@ DISTINCT_TOL = 1.0e-9      # distinct-k tolerance for table columns
 def _parse_mu(value) -> complex:
     """A contour center from a number, a [re, im] pair or a string like 2.2+0.6i."""
     if isinstance(value, str):
-        z = complex(value.replace("i", "j").replace(" ", ""))
+        text = value.replace(" ", "")
+        z = complex(text[:-1] + "j" if text.endswith("i") else text)  # "inf" keeps its i
         value = [z.real, z.imag]
     if isinstance(value, list) and len(value) == 2:
         return complex(_real(value[0]), _real(value[1]))
@@ -109,6 +110,10 @@ class StudyConfig:
             raise ConfigError(f"side must be 'below' or 'above', got {self.converge_side!r}")
         if self.converge_p_max < 1 or lambda_at(self.converge_side, self.converge_p_max) == 1.0:
             raise ConfigError(f"p_max must be >= 1 with lambda_p != 1.0, got {self.converge_p_max}")
+        re0, re1, im0, im1 = self.grid_region
+        if not (re0 < re1 and im0 < im1):
+            raise ConfigError(f"grid region {self.grid_region} must be a rectangle "
+                              "re0 < re1, im0 < im1")
         if not 0 <= self.grid_m <= MAX_ORDER:
             raise ConfigError(f"grid m must be in 0..{MAX_ORDER}, got {self.grid_m}")
         if self.jobs < 0:

@@ -17,7 +17,7 @@ from tevsolve.disk import (
     real_roots_many,
 )
 from tevsolve.cli import main
-from tevsolve.errors import ConfigError, NumericalFailure, PoleError
+from tevsolve.errors import ConfigError, NumericalFailure, PoleError, RangeError
 from tevsolve.materials import MaterialParams
 from tevsolve.special import MAX_ORDER, bessel_j
 from tevsolve.studies import lambda_at
@@ -99,6 +99,13 @@ def determinant_prime_reference(m, k, p):
     c, cp = p.lam * k * s * jp_s, p.lam * s * jp_s + p.lam * k * s * s * jpp_s
     d, dp = jm, jp
     return -ap * b - a * bp + cp * d + c * dp
+
+
+def determinant_term_scale(m, k, p):
+    """The sum of the magnitudes of det_m's three terms at k."""
+    ks = k * p.sqrt_n
+    return (np.abs(jv(m, ks) * k * jvp(m, k)) + np.abs(p.eta * jv(m, ks) * jv(m, k))
+            + np.abs(p.lam * jvp(m, ks) * ks * jv(m, k)))
 
 
 class TestDeterminantPrime:
@@ -246,6 +253,8 @@ class TestSharedScan:
         assert calls == {"bessel_j": 2 * 4, "bessel_j_prime": 2 * 4}
 
     def test_order_rows_equal_one_order_values(self):
+        # the multi-order table comes from the downward recurrence, the one-order
+        # one from scipy: equal within 1e-12 of the sum of |det_m|'s terms
         points = [EX34, MaterialParams(3.0, 1.0, 0.5), MaterialParams(4.0, 1.0, 0.5)]
         grid = np.linspace(0.01, 10.0, 1001)
         for k in (grid, (1.0 + 0.3j) * grid, 2.5 + 0.3j):
@@ -253,10 +262,13 @@ class TestSharedScan:
                 rows = disk_determinant(range(m_max + 1), k, points)
                 assert rows.shape == (m_max + 1, len(points)) + np.shape(k)
                 for m, row in enumerate(rows):
-                    assert np.array_equal(row, disk_determinant(m, k, points))
+                    for got, p in zip(row, points):
+                        scale = determinant_term_scale(m, k, p)
+                        assert np.all(np.abs(got - disk_determinant(m, k, p)) <= 1e-12 * scale)
         # one point: the point axis goes
         rows = disk_determinant([2, 3], grid, EX34)
-        assert all(np.array_equal(row, disk_determinant(m, grid, EX34))
+        assert all(np.all(np.abs(row - disk_determinant(m, grid, EX34))
+                          <= 1e-12 * determinant_term_scale(m, grid, EX34))
                    for m, row in zip((2, 3), rows))
 
     def test_one_bessel_call_per_order_and_argument(self, monkeypatch):
@@ -274,9 +286,10 @@ class TestSharedScan:
         for name in calls:  # disk imports no bessel_j_second: a call would land here
             monkeypatch.setattr(disk, name, counted(name), raising=False)
         disk_determinant(range(9), np.linspace(0.01, 10.0, 1001), points)
-        # at k and at k sqrt(n) for the 2 distinct n; J'_m from J_{m -/+ 1} below the top
-        assert sorted(m for m, _ in calls["bessel_j"]) == sorted(list(range(9)) * 3)
-        assert [m for m, _ in calls["bessel_j_prime"]] == [8] * 3
+        # at k and at k sqrt(n) for the 2 distinct n, the top order only: the
+        # recurrence gives the orders below it
+        for name in ("bessel_j", "bessel_j_prime"):
+            assert [m for m, _ in calls[name]] == [8] * 3
         # det_m': J_m and J'_m once each at k and at k sqrt(n), and no J''_m
         for name in calls:
             calls[name].clear()
@@ -287,6 +300,50 @@ class TestSharedScan:
             assert sorted(tuple(z[:2]) for _, z in calls[name]) == sorted(
                 (tuple(k[:2]), tuple(k[:2] * EX34.sqrt_n)))
         assert calls["bessel_j_second"] == []
+
+    def test_table_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # scipy flushes J_60 to 0 at 5.47e-4, but not J'_60; J_61 at 6.64e-4, which
+        # costs J'_60 1.5e-11 of its value: both take the fallback.  At 1e-3
+        # J_60 = 1.04e-280, and the recurrence runs.
+        small = np.array([0.0, 1e-4, 3.2e-4, 5.47e-4, 6.64e-4, 1e-3])
+        grids = (np.linspace(0.0, 25.0, 101)[1:], (1.0 + 0.3j) * np.linspace(0.0, 10.0, 51)[1:],
+                 small, (1.0 + 0.3j) * small)
+        flushed = 0
+        for z in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                jm, jp = disk._bessel_table(range(MAX_ORDER + 1), z)
+            fallback = np.abs(bessel_j(MAX_ORDER, z)) < 1e-280
+            for m in range(MAX_ORDER + 1):
+                # the fallback entries are scipy's own per-order values
+                assert np.array_equal(jm[m, fallback], bessel_j(m, z[fallback]))
+                for i, x in enumerate(z.tolist()):
+                    x = mpmath.mpc(x) if isinstance(x, complex) else mpmath.mpf(x)
+                    with mpmath.workdps(40):
+                        want, want_p = mpmath.besselj(m, x), mpmath.besselj(m, x, derivative=1)
+                    # scipy returns 0 for magnitudes below about 1e-289
+                    tol = 1e-12 * max(abs(want), abs(want_p)) + 1e-288
+                    assert abs(jm[m, i] - want) <= tol and abs(jp[m, i] - want_p) <= tol, (m, x)
+            flushed += fallback.sum()
+        assert flushed == 10  # all but 1e-3, real and complex
+
+    def test_table_overflow_raises_range_error(self, monkeypatch):
+        # scipy raises before any real table overflows: force one through J'_M
+        monkeypatch.setattr(disk, "bessel_j_prime", lambda m, z: np.full(np.shape(z), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="J_0..J_8"):
+                disk._bessel_table(range(9), np.array([0.5, 2.0]))
+
+    def test_determinant_at_origin_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = disk_determinant(range(9), [0.0, 1.0], EX34)
+        assert rows[0, 0] == -EX34.eta
+        assert np.all(rows[1:, 0] == 0.0)
+        jm, jp = disk._bessel_table(range(9), 0.0)
+        assert np.array_equal(jm, np.eye(9)[0]) and np.array_equal(jp, np.eye(9)[1] / 2)
 
     def test_n_sweep_roots_do_not_depend_on_jobs(self):
         # the two n sweeps of the disk-n-sweep benchmark: 9 points, 9 distinct n

@@ -441,6 +441,15 @@ class TestConfig:
                 config_from_dict(doc)
             assert str(exc.value).startswith(f"{path}: "), (path, str(exc.value))
 
+    def test_mu_strings(self):
+        # only a trailing i is the imaginary unit: "inf" meets the finiteness rule
+        for text, mu in (("2.2+0.6i", 2.2 + 0.6j), ("-1.5i", -1.5j), ("2", 2)):
+            cfg = config_from_dict({"bie": {"contours": [{"mu": text}]}})
+            assert cfg.bie.contours[0].center == mu
+        for text in ("inf", "1+infi"):
+            with pytest.raises(ConfigError, match="mu: cannot parse .*: expected a finite number"):
+                config_from_dict({"bie": {"contours": [{"mu": text}]}})
+
     def test_removed_keys_rejected(self):
         for doc in ({"determinant": {"complex_grid": [201, 81]}},
                     {"bie": {"beyn": {"rank_tol": 1e-4}}}):
@@ -627,6 +636,14 @@ class TestCli:
                               "--mu", "2"), "radius r must be finite and positive, got nan"),
         "grid-region-nan": (("grid", "--region", "0,1,-1,nan", "--nx", "3", "-q"),
                             "grid.region"),
+        "grid-region-reversed-re": (("grid", "--region", "1,0,-1,1", "--nx", "3", "-q"),
+                                    "grid region (1.0, 0.0, -1.0, 1.0)"),
+        "grid-region-reversed-im": (("grid", "--region", "0,1,1,-1", "--nx", "3", "-q"),
+                                    "grid region (0.0, 1.0, 1.0, -1.0)"),
+        "mu-inf": (("spectrum", "--method", "bie", "--mu", "inf"),
+                   "'inf': expected a finite number"),
+        "mu-inf-imaginary": (("spectrum", "--method", "bie", "--mu", "1+infi"),
+                             "'1+infi': expected a finite number"),
         "config-tol-nan": (("spectrum", "--config", "{tmp}/tol.json", *DISK),
                            "determinant.tol"),
         "bie-degenerate-circle": (("spectrum", "--method", "bie", "--shape", "circle:r=1e-300",
