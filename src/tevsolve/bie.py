@@ -17,8 +17,9 @@ precision at moderate N.
 
 Only the Bessel/Hankel kernels depend on k: the node distances and normal
 projections are built once per sample (CurveSample.chords), the weights R_j
-and the log factor once per N.  The distances are bitwise symmetric, so
-:mod:`special` evaluates each kernel once per upper-triangle entry.
+and the log factor once per N.  The distances are bitwise symmetric under the
+transpose and, for a mirror-symmetric curve, under the node mirrors, so
+:mod:`special` evaluates each kernel once per orbit of those symmetries.
 
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
 for the two media:

@@ -37,7 +37,9 @@ class BoundaryCurve:
     yc: tuple = field(repr=False)
     ys: tuple = field(repr=False)
 
-    def _eval(self, t, derivative: int):
+    def _eval(self, t, derivative: int, waves=None):
+        """The derivative-th derivative at t, from waves(j) = (cos j t, sin j t)
+        (by default np.cos and np.sin of j t)."""
         t = np.asarray(t, dtype=float)
         xy = []
         for cos_row, sin_row in ((self.xc, self.xs), (self.yc, self.ys)):
@@ -46,7 +48,8 @@ class BoundaryCurve:
                 for _ in range(derivative):
                     c, s = j * s, -j * c
                 if c or s:
-                    v = v + (c * np.cos(j * t) + s * np.sin(j * t))
+                    cos_j, sin_j = waves(j) if waves else (np.cos(j * t), np.sin(j * t))
+                    v = v + (c * cos_j + s * sin_j)
             xy.append(v)
         return np.stack(xy, axis=-1)
 
@@ -148,8 +151,10 @@ class CurveSample:
     """Curve data at the N equispaced parameter nodes t_j = 2 pi j / N.
 
     Normals are outward unit vectors; curvature is the signed curvature,
-    positive for a counterclockwise circle.  The sample is immutable and safe
-    to share across threads; samples compare by identity.
+    positive for a counterclockwise circle.  The nodes are mirror-exact: those
+    of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states.
+    The sample is immutable and safe to share across threads; samples compare
+    by identity.
     """
 
     n: int
@@ -173,14 +178,40 @@ class CurveSample:
         return r, proj
 
 
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C_l = cos(2 pi l/n) and S_l = sin(2 pi l/n), l = 0..n-1 (n even), built
+    from the first quarter-wave so that the table keeps the mirror symmetries
+    bitwise: C is even and S odd under l -> n - l, and when 4 | n, C is odd and
+    S even under l -> n/2 - l, with C_{n/4} = 0 exactly."""
+    if n % 4:
+        x = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        c, s = np.cos(x), np.sin(x)
+        c[-1], s[-1] = -1.0, 0.0
+    else:
+        s = np.sin(2.0 * np.pi * np.arange(n // 4 + 1) / n)
+        c = s[::-1]  # cos x = sin(pi/2 - x)
+        c, s = np.concatenate([c, -c[-2::-1]]), np.concatenate([s, s[-2::-1]])
+    return np.concatenate([c, c[-2:0:-1]]), np.concatenate([s, -s[-2:0:-1]])
+
+
 def sample(curve: BoundaryCurve, n: int) -> CurveSample:
-    """Sample a curve at n equispaced parameter nodes (n even, >= 4)."""
+    """Sample a curve at n equispaced parameter nodes (n even, >= 4).
+
+    cos(j t_i) and sin(j t_i) are read from one table at (j i) mod n, so a
+    curve symmetric under y -> -y gives nodes that are so bitwise (node -i is
+    node i mirrored), and when 4 | n, one symmetric under x -> -x does too
+    (node n/2 - i).
+    """
     if n < 4 or n % 2:
         raise ConfigError(f"node count must be even and >= 4, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
-    p = curve.point(t)
-    d1 = curve.derivative(t)
-    d2 = curve.second_derivative(t)
+    cos, sin = _unit_circle(n)
+
+    def waves(j):
+        l = j * np.arange(n) % n
+        return cos[l], sin[l]
+
+    p, d1, d2 = (curve._eval(t, d, waves) for d in range(3))
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if np.any(speed <= _MIN_SPEED):
         raise GeometryError("degenerate node speed; curve fails regularity at a node")

@@ -11,8 +11,13 @@ kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
 holds it.  Both call the same Amos K_m routine, and the rotation is done as
 Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 
-``bessel_j`` and ``hankel1`` evaluate a symmetric square matrix argument, such
-as the node distances of an assembly, on its N(N+1)/2 upper-triangle entries.
+``bessel_j`` and ``hankel1`` evaluate a square matrix argument, such as the
+node distances of an assembly, once per orbit of its index symmetries: they
+check bitwise whether the transpose, i -> -i (mod N) and, when 4 | N,
+i -> N/2 - i (mod N) leave it unchanged, and spread one value over each orbit
+of the group those maps generate (the distances of a mirror-symmetric curve,
+as :func:`geometry.sample` samples it, have them).  Any other argument, such
+as the disk's scans, is evaluated as it is.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
 four kernels) and order ``|m| <= 60``, which comfortably covers every
@@ -49,26 +54,59 @@ def _finite_or_raise(value, what: str):
     return value
 
 
+def _symmetries(z: np.ndarray) -> tuple[bool, bool, bool]:
+    """Whether the transpose, i -> -i (mod n) and i -> n/2 - i (mod n) leave the
+    square z unchanged, bitwise; the last is tested only when 4 | n.  Compared
+    on views: i -> a - i (mod n) reverses the index blocks [0, a], [a + 1, n - 1]."""
+    n = z.shape[0]
+
+    def reflected(a):
+        blocks = ((slice(0, a + 1), slice(a, None, -1)), (slice(a + 1, n), slice(n - 1, a, -1)))
+        return all(np.array_equal(z[r, c], z[r_rev, c_rev])
+                   for r, r_rev in blocks for c, c_rev in blocks)
+
+    return np.array_equal(z, z.T), reflected(0), n % 4 == 0 and reflected(n // 2)
+
+
 @lru_cache(maxsize=32)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n)  # read-only: every caller shares them
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+def _orbits(n: int, symmetries: tuple[bool, bool, bool]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of one entry per orbit of the n x n index pairs under the
+    group that the holding _symmetries generate, and the n x n index of each
+    entry's orbit; read-only, as every caller shares them.  The maps are
+    commuting involutions, so the group is the products of their subsets."""
+    h = n // 2
+    maps = (lambda i, j: (j, i), lambda i, j: (-i % n, -j % n),
+            lambda i, j: ((h - i) % n, (h - j) % n))
+    images = [np.indices((n, n))]
+    for holds, act in zip(symmetries, maps):
+        if holds:
+            images += [act(*image) for image in images]
+    first = np.min([i * n + j for i, j in images], axis=0)
+    reps, inverse = np.unique(first, return_inverse=True)
+    inverse = inverse.reshape(n, n)
+    reps.flags.writeable = inverse.flags.writeable = False
+    return reps, inverse
 
 
 def _fold_symmetric(kernel):
-    """kernel(m, z) on the upper triangle of a symmetric square z, mirrored;
-    any other z goes straight through.  The values are bitwise those of kernel."""
+    """kernel(m, z) once per orbit of the index symmetries of a square z
+    (_symmetries), spread over the orbit; any other z goes straight through.
+    The values are bitwise those of kernel."""
     @wraps(kernel)
     def folded(m, z):
         z = np.asarray(z)
-        if z.ndim != 2 or not np.array_equal(z, z.T):  # unequal shapes are unequal
+        if z.ndim != 2 or z.shape[0] != z.shape[1]:
             return kernel(m, z)
-        rows, cols = _upper_triangle(z.shape[0])
-        upper = kernel(m, z[rows, cols])
-        out = np.empty(z.shape, upper.dtype)
-        out[rows, cols] = out[cols, rows] = upper
-        return out
+        symmetries = _symmetries(z)
+        if not any(symmetries):
+            return kernel(m, z)
+        reps, inverse = _orbits(z.shape[0], symmetries)
+        values = kernel(m, np.take(z, reps))
+        # np.take into a fresh array, not values[inverse]: numpy's SIMD loops can
+        # round by operand alignment, and this form keeps the assembled operators
+        # bitwise those of the unfolded kernel (tests/test_bie.py)
+        out = np.empty(z.shape, values.dtype)
+        return np.take(values, inverse, out=out)
     return folded
 
 

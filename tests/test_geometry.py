@@ -1,5 +1,6 @@
 """Boundary curves: construction, shape parsing, sampling invariants."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -89,6 +90,25 @@ class TestSample:
             assert np.max(np.abs(np.hypot(s.normals[:, 0], s.normals[:, 1]) - 1)) <= 1e-14
             dots = np.einsum("ij,ij->i", s.normals, c.derivative(s.t)) / s.speeds
             assert np.max(np.abs(dots)) <= 1e-14
+
+    def test_mirror_exact_nodes(self):
+        # node -i is node i under y -> -y, and node n/2 - i node i under x -> -x
+        # (4 | n), bitwise; every node within 1e-15 of the curve at the exact
+        # 2 pi i / n (curve.point(s.t) itself is off by up to 1 ulp of t, 1e-15)
+        n = 240
+        i = np.arange(n)
+        for spec, x_mirror in (("circle:r=1", True), ("ellipse:a=1,b=1.2", True), ("kite", False)):
+            c = parse_shape(spec)
+            s = sample(c, n)
+            assert np.array_equal(s.points[-i % n], s.points * (1, -1))
+            assert np.array_equal(s.points[(n // 2 - i) % n], s.points * (-1, 1)) == x_mirror
+            with mp.workdps(30):
+                angles = [2 * mp.pi * node / n for node in range(n)]
+                exact = [[float(sum(a * mp.cos(j * t) + b * mp.sin(j * t)
+                                    for j, (a, b) in enumerate(zip(cos_row, sin_row))))
+                          for cos_row, sin_row in ((c.xc, c.xs), (c.yc, c.ys))] for t in angles]
+            assert np.max(np.abs(s.points - exact)) <= 1e-15
+            assert np.max(np.abs(s.points - c.point(s.t))) <= 2e-15
 
     def test_circle_curvature(self):
         for r in (1.0, 2.5):

@@ -9,6 +9,7 @@ import scipy.special as sp
 
 from tevsolve import special
 from tevsolve.errors import RangeError, SingularityError
+from tevsolve.geometry import make_curve, parse_shape, sample
 from tevsolve.special import (
     bessel_j,
     bessel_j_prime,
@@ -222,6 +223,11 @@ def _symmetric(n, seed=11):
     return a + a.T
 
 
+# a curve with no mirror symmetry: its node distances are symmetric under the transpose only
+ASYMMETRIC = make_curve("trig", xc=(0.1, 1.0, 0.2, 0.05), xs=(0.0, 0.1, 0.07, 0.0),
+                        yc=(0.0, 0.15, 0.0, 0.03), ys=(0.05, 1.1, -0.1, 0.02))
+
+
 class TestSymmetricFold:
     KERNELS = ((hankel1, sp.hankel1), (bessel_j, sp.jv))
 
@@ -238,12 +244,18 @@ class TestSymmetricFold:
                     assert got.shape == np.shape(x) and got.dtype == want.dtype
                     assert np.array_equal(got, want)
 
-    def test_symmetric_input_evaluates_the_upper_triangle(self, monkeypatch):
+    @staticmethod
+    def _count_points(monkeypatch):
+        """The argument sizes of every Amos K_m and J_m call, in order."""
         points = []
         for name in ("kv", "jv"):
             amos = getattr(sp, name)
             monkeypatch.setattr(special._sp, name,
                                 lambda m, z, amos=amos: points.append(np.size(z)) or amos(m, z))
+        return points
+
+    def test_symmetric_input_evaluates_the_upper_triangle(self, monkeypatch):
+        points = self._count_points(monkeypatch)
         z = _symmetric(12)
         for kernel in (hankel1, bessel_j):
             for m in (0, 1):
@@ -253,6 +265,25 @@ class TestSymmetricFold:
                 points.clear()
                 kernel(m, z + np.triu(np.full((12, 12), 1e-3), 1))
                 assert points == [144]
+
+    @pytest.mark.parametrize("curve, n, orbits", [
+        (parse_shape("ellipse:a=1,b=1.2"), 240, 7321),  # transpose and both mirrors
+        (parse_shape("kite"), 240, 14521),              # transpose and y -> -y
+        (ASYMMETRIC, 240, 240 * 241 // 2),              # transpose only
+        (parse_shape("ellipse:a=1,b=1.2"), 122, 3783),  # 4 does not divide 122: y -> -y only
+        # transpose and x -> -x: a kite pointing up, (cos t, sin t + 0.3 cos 2t)
+        (make_curve("trig", xc=(0, 1), xs=(0, 0), yc=(0, 0, 0.3), ys=(0, 1)), 240, 14521),
+    ], ids=["ellipse-240", "kite-240", "trig-240", "ellipse-122", "x-mirror-240"])
+    def test_curve_distances_evaluate_one_point_per_orbit(self, curve, n, orbits, monkeypatch):
+        s = sample(curve, n)
+        z = (2.7 - 0.15j) * (s.chords[0] + np.eye(n))
+        points = self._count_points(monkeypatch)
+        for ours, scipy_kernel in self.KERNELS:
+            for m in (0, 1):
+                points.clear()
+                got = ours(m, z)
+                assert points == [orbits]
+                assert np.array_equal(got, scipy_kernel(m, z))
 
     def test_errors_in_one_off_diagonal_pair(self):
         cases = (
