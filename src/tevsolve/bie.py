@@ -15,11 +15,15 @@ analytic curves; on the unit circle the matrices are circulant and the
 discrete Fourier modes reproduce the analytic operator symbols to machine
 precision at moderate N.
 
-Only the Bessel/Hankel kernels depend on k: the node distances and normal
-projections are built once per sample (CurveSample.chords), the weights R_j
-and the log factor once per N.  The distances are bitwise symmetric under the
-transpose and, for a mirror-symmetric curve, under the node mirrors, so
-:mod:`special` evaluates each kernel once per orbit of those symmetries.
+Only the Bessel/Hankel kernels depend on k; the sample owns the rest
+(CurveSample.nystrom), so that off the diagonal each assembly is one
+multiply-add per kernel pair, with A_S, A_K, B_K as that property states:
+
+    S_k = J_0(k r) * A_S + H1_0(k r) * (i h/4) |x'(tau)|,  h = 2 pi/N,
+    K^T_k = k [J_1(k r) * A_K + H1_1(k r) * B_K].
+
+Each kernel is evaluated once per symmetry orbit of the node distances
+(CurveSample.orbits).
 
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
 for the two media:
@@ -52,23 +56,6 @@ MIN_NODES = 16
 CACHE_BYTES = 192 * 1024 * 1024
 
 
-@lru_cache(maxsize=32)
-def _log_quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n x n weights R_|i-j| and log factor ln(4 sin^2((t_i - t_j)/2))
-    (0 on the diagonal).  R_l integrates f(tau) ln(4 sin^2((t_i - tau)/2))
-    exactly for trigonometric polynomials f of degree < n/2."""
-    l = np.arange(n)
-    m = np.arange(1, n // 2)
-    w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
-    w = w - (4.0 * np.pi / n**2) * np.cos(np.pi * l)
-    weights = w[np.abs(l[:, None] - l[None, :])]
-    t = 2.0 * np.pi * l / n
-    dt = t[:, None] - t[None, :]
-    log = np.log(4.0 * np.sin(dt / 2.0) ** 2 + np.eye(n))
-    weights.flags.writeable = log.flags.writeable = False
-    return weights, log
-
-
 def _check_wavenumber(k: complex) -> complex:
     k = complex(k)
     if k.real <= 0:
@@ -76,22 +63,17 @@ def _check_wavenumber(k: complex) -> complex:
     return k
 
 
-def _safe_distances(s: CurveSample) -> np.ndarray:
-    """Node distances, 1 on the diagonal (where limits replace the kernels)."""
+def _tables(s: CurveSample):
     if s.n < MIN_NODES:
         raise ConfigError(f"boundary assembly needs at least {MIN_NODES} nodes, got {s.n}")
-    return s.chords[0] + np.eye(s.n)
+    return s.nystrom, s.orbits
 
 
-def _log_split(smooth: np.ndarray, full: np.ndarray, smooth_diag, rest_diag) -> np.ndarray:
-    """Nystrom matrix of the kernel full = smooth * log + rest with the given
-    diagonal limits: smooth (overwritten) by the weights R, rest by the trapezoid rule."""
-    n = smooth.shape[0]
-    weights, log = _log_quadrature(n)
-    rest = full - smooth * log
-    np.fill_diagonal(smooth, smooth_diag)
-    np.fill_diagonal(rest, rest_diag)
-    return weights * smooth + (2.0 * np.pi / n) * rest
+def _kernel_pair(m: int, z: np.ndarray, orbits, a: np.ndarray, b) -> np.ndarray:
+    """J_m(z) * a + H1_m(z) * b."""
+    out = bessel_j(m, z, orbits=orbits) * a
+    out += hankel1(m, z, orbits=orbits) * b
+    return out
 
 
 def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
@@ -101,32 +83,35 @@ def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
     the analytic limit (i/4 - gamma/(2 pi) - ln(k |x'(t)|/2)/(2 pi)) |x'(t)|.
     """
     k = _check_wavenumber(k)
-    r_safe, sp = _safe_distances(sample), sample.speeds
-    smooth = -(1.0 / (4.0 * np.pi)) * np.asarray(bessel_j(0, k * r_safe)) * sp[None, :]
-    full = (0.25j) * np.asarray(hankel1(0, k * r_safe)) * sp[None, :]
-    rest_diag = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
-    return _log_split(smooth, full, -(1.0 / (4.0 * np.pi)) * sp, rest_diag)
+    (r_safe, a_s, _, _), orbits = _tables(sample)
+    sp, h = sample.speeds, 2.0 * np.pi / sample.n
+    S = _kernel_pair(0, k * r_safe, orbits, a_s, (0.25j * h) * sp)
+    limit = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
+    np.fill_diagonal(S, np.diagonal(a_s) + h * limit)  # a_s_ii = -R_0 sp_i / (4 pi)
+    return S
 
 
 def assemble_adjoint_double_layer(sample: CurveSample, k: complex) -> np.ndarray:
     """N x N Nystrom matrix of the adjoint double-layer operator K^T_k.
 
     Kernel -(ik/4) H1_1(k r) (nu(t) . (x(t)-x(tau))) / r * |x'(tau)|, split the
-    same way; the diagonal is the curvature limit -kappa(t) |x'(t)| / (4 pi)
+    same way; the diagonal is h times the curvature limit -kappa(t) |x'(t)| / (4 pi)
     of the static part (the wavenumber-dependent remainder vanishes on the
     diagonal).
     """
     k = _check_wavenumber(k)
-    r_safe, sp = _safe_distances(sample), sample.speeds
-    g = sample.chords[1] / r_safe * sp[None, :]
-    smooth = (k / (4.0 * np.pi)) * np.asarray(bessel_j(1, k * r_safe)) * g
-    full = -(0.25j * k) * np.asarray(hankel1(1, k * r_safe)) * g
-    return _log_split(smooth, full, 0.0, -sample.curvatures * sp / (4.0 * np.pi))
+    (r_safe, _, a_k, b_k), orbits = _tables(sample)
+    K = _kernel_pair(1, k * r_safe, orbits, a_k, b_k)
+    K *= k
+    np.fill_diagonal(K, (-0.5 / sample.n) * sample.curvatures * sample.speeds)  # h/(4 pi) = 1/(2N)
+    return K
 
 
 def neumann_trace_matrix(sample: CurveSample, k: complex) -> np.ndarray:
     """Interior Neumann trace of the single-layer potential: I/2 + K^T_k."""
-    return 0.5 * np.eye(sample.n) + assemble_adjoint_double_layer(sample, k)
+    A = assemble_adjoint_double_layer(sample, k)
+    A.flat[::sample.n + 1] += 0.5
+    return A
 
 
 _RESONANCE_PIVOT_RTOL = 1.0e-12
@@ -162,6 +147,7 @@ class HelmholtzNep:
     def __init__(self, sample: CurveSample, params: MaterialParams):
         self.sample = sample
         self.params = params
+        _tables(sample)  # built now, before a pool's threads share the sample
         # _trace_ratio is looked up per call, so a patched one takes effect
         self._cache = lru_cache(maxsize=max(1, CACHE_BYTES // (16 * sample.n**2)))(
             lambda k: _trace_ratio(sample, k))
@@ -179,9 +165,9 @@ class HelmholtzNep:
     def __call__(self, z: complex) -> np.ndarray:
         z = _check_wavenumber(z)
         p = self.params
-        P_w = self._cache(z * p.sqrt_n)
-        P_v = self._cache(z)
-        return p.lam * P_w - P_v - p.eta * np.eye(self.dim)
+        M = p.lam * self._cache(z * p.sqrt_n) - self._cache(z)
+        M.flat[::self.dim + 1] -= p.eta
+        return M
 
     def prefetch(self, zs, jobs: int) -> None:
         """Build the trace ratios of M(z) at every z in zs on a pool of ``jobs``

@@ -7,6 +7,10 @@ shapes are the unit-scale circle, the axis-aligned ellipse, and the kite
 (0.75 cos t + 0.3 cos 2t, sin t); arbitrary trigonometric-polynomial curves
 are accepted through :func:`make_curve` and are checked for regularity and
 positive orientation on construction.
+
+A :class:`CurveSample` owns what the Nystrom assembly of :mod:`bie` needs
+that does not depend on the wavenumber: the node distances, their symmetry
+orbits, and the log-split quadrature tables.
 """
 
 from __future__ import annotations
@@ -146,6 +150,37 @@ def parse_shape(spec: str) -> BoundaryCurve:
     return make_curve(kind, **params)
 
 
+def _log_weights(n: int) -> np.ndarray:
+    """R - h L (n x n).  R_l integrates f(tau) ln(4 sin^2((t_i - tau)/2)) exactly
+    for trigonometric polynomials f of degree < n/2."""
+    l = np.arange(n)
+    m = np.arange(1, n // 2)
+    w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
+    w = w - (4.0 * np.pi / n**2) * np.cos(np.pi * l)
+    t = 2.0 * np.pi * l / n
+    log = np.log(4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2 + np.eye(n))
+    return w[np.abs(l[:, None] - l[None, :])] - (2.0 * np.pi / n) * log
+
+
+def _orbits(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of one entry per orbit of the square r's index pairs, and
+    the index of each entry's orbit (the shape of r); read-only.  The orbits
+    are those of the group generated by the maps of the transpose, i -> -i and
+    i -> n/2 - i (mod n) that leave r unchanged bitwise.  For even n these are
+    commuting involutions, so the group is the products of their subsets."""
+    n, h = r.shape[0], r.shape[0] // 2
+    maps = (lambda i, j: (j, i), lambda i, j: (-i % n, -j % n),
+            lambda i, j: ((h - i) % n, (h - j) % n))
+    images = [np.indices((n, n))]
+    for act in maps:
+        if np.array_equal(r, r[act(*images[0])]):
+            images += [act(*image) for image in images]
+    first = np.min([i * n + j for i, j in images], axis=0)
+    reps, inverse = np.unique(first, return_inverse=True)
+    reps.flags.writeable = inverse.flags.writeable = False
+    return reps, inverse.reshape(n, n)  # a view, read-only too
+
+
 @dataclass(frozen=True, eq=False)
 class CurveSample:
     """Curve data at the N equispaced parameter nodes t_j = 2 pi j / N.
@@ -153,8 +188,9 @@ class CurveSample:
     Normals are outward unit vectors; curvature is the signed curvature,
     positive for a counterclockwise circle.  The nodes are mirror-exact: those
     of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states.
-    The sample is immutable and safe to share across threads; samples compare
-    by identity.
+    ``chords``, ``orbits`` and ``nystrom`` are read-only, built once on first
+    use (before threads share the sample, or two may build them).  The sample
+    is immutable and thread-safe; samples compare by identity.
     """
 
     n: int
@@ -166,9 +202,8 @@ class CurveSample:
 
     @cached_property
     def chords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only node distances |x_i - x_j| and normal projections
-        nu_i . (x_i - x_j), computed once; raises GeometryError when two
-        distinct nodes coincide."""
+        """Node distances |x_i - x_j| and normal projections nu_i . (x_i - x_j);
+        raises GeometryError when two distinct nodes coincide."""
         d = self.points[:, None, :] - self.points[None, :, :]
         r = np.hypot(d[..., 0], d[..., 1])
         if np.any(r[~np.eye(self.n, dtype=bool)] < 1.0e-12):
@@ -177,20 +212,41 @@ class CurveSample:
         r.flags.writeable = proj.flags.writeable = False
         return r, proj
 
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetry orbits (reps, inverse) of the node distances r by :func:`_orbits`
+        (7,321 of 57,600 for the ellipse at N = 240); k (r + I) has them bitwise too."""
+        return _orbits(self.chords[0])
+
+    @cached_property
+    def nystrom(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The k-independent tables of the log-split Nystrom rule (see :mod:`bie`):
+        r + I, A_S = -(R - h L) sp_j / (4 pi), A_K = (R - h L) g / (4 pi) and
+        B_K = -i (h/4) g, with h = 2 pi/N, the log weights R_|i-j|, the log factor
+        L_ij = ln(4 sin^2((t_i - t_j)/2)) and g_ij = nu_i . (x_i - x_j) / r_ij * sp_j."""
+        (r, proj), sp = self.chords, self.speeds
+        split = _log_weights(self.n) / (4.0 * np.pi)
+        r_safe = r + np.eye(self.n)
+        g = proj / r_safe * sp
+        tables = (r_safe, -split * sp, split * g, (-0.25j * 2.0 * np.pi / self.n) * g)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """C_l = cos(2 pi l/n) and S_l = sin(2 pi l/n), l = 0..n-1 (n even), built
-    from the first quarter-wave so that the table keeps the mirror symmetries
-    bitwise: C is even and S odd under l -> n - l, and when 4 | n, C is odd and
-    S even under l -> n/2 - l, with C_{n/4} = 0 exactly."""
+    from the first quarter-wave l <= n/4 and its reflection C_{n/2-l} = -C_l,
+    S_{n/2-l} = S_l, so that the table keeps the mirror symmetries bitwise: C
+    is even and S odd under l -> n - l, and C odd and S even under
+    l -> n/2 - l.  When 4 | n that map fixes l = n/4, where C is 0 exactly."""
+    x = 2.0 * np.pi * np.arange(n // 4 + 1) / n
+    s = np.sin(x)
     if n % 4:
-        x = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-        c, s = np.cos(x), np.sin(x)
-        c[-1], s[-1] = -1.0, 0.0
+        c, tail = np.cos(x), slice(None, None, -1)
     else:
-        s = np.sin(2.0 * np.pi * np.arange(n // 4 + 1) / n)
-        c = s[::-1]  # cos x = sin(pi/2 - x)
-        c, s = np.concatenate([c, -c[-2::-1]]), np.concatenate([s, s[-2::-1]])
+        c, tail = s[::-1], slice(-2, None, -1)  # cos x = sin(pi/2 - x)
+    c, s = np.concatenate([c, -c[tail]]), np.concatenate([s, s[tail]])
     return np.concatenate([c, c[-2:0:-1]]), np.concatenate([s, -s[-2:0:-1]])
 
 
@@ -199,8 +255,7 @@ def sample(curve: BoundaryCurve, n: int) -> CurveSample:
 
     cos(j t_i) and sin(j t_i) are read from one table at (j i) mod n, so a
     curve symmetric under y -> -y gives nodes that are so bitwise (node -i is
-    node i mirrored), and when 4 | n, one symmetric under x -> -x does too
-    (node n/2 - i).
+    node i mirrored), and one symmetric under x -> -x does too (node n/2 - i).
     """
     if n < 4 or n % 2:
         raise ConfigError(f"node count must be even and >= 4, got {n}")

@@ -11,13 +11,11 @@ kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
 holds it.  Both call the same Amos K_m routine, and the rotation is done as
 Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 
-``bessel_j`` and ``hankel1`` evaluate a square matrix argument, such as the
-node distances of an assembly, once per orbit of its index symmetries: they
-check bitwise whether the transpose, i -> -i (mod N) and, when 4 | N,
-i -> N/2 - i (mod N) leave it unchanged, and spread one value over each orbit
-of the group those maps generate (the distances of a mirror-symmetric curve,
-as :func:`geometry.sample` samples it, have them).  Any other argument, such
-as the disk's scans, is evaluated as it is.
+``bessel_j`` and ``hankel1`` take the symmetry orbits of a matrix argument
+(``CurveSample.orbits`` for the node distances of an assembly): given
+``orbits=(reps, inverse)``, they evaluate the kernel once per orbit, at
+``z.flat[reps]``, and spread the values by ``inverse``; the caller vouches that
+z is bitwise constant on each orbit.  Without orbits, z is evaluated as given.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
 four kernels) and order ``|m| <= 60``, which comfortably covers every
@@ -29,7 +27,7 @@ that overflows raises ``RangeError``, never a numpy warning.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 import scipy.special as _sp
@@ -54,59 +52,19 @@ def _finite_or_raise(value, what: str):
     return value
 
 
-def _symmetries(z: np.ndarray) -> tuple[bool, bool, bool]:
-    """Whether the transpose, i -> -i (mod n) and i -> n/2 - i (mod n) leave the
-    square z unchanged, bitwise; the last is tested only when 4 | n.  Compared
-    on views: i -> a - i (mod n) reverses the index blocks [0, a], [a + 1, n - 1]."""
-    n = z.shape[0]
-
-    def reflected(a):
-        blocks = ((slice(0, a + 1), slice(a, None, -1)), (slice(a + 1, n), slice(n - 1, a, -1)))
-        return all(np.array_equal(z[r, c], z[r_rev, c_rev])
-                   for r, r_rev in blocks for c, c_rev in blocks)
-
-    return np.array_equal(z, z.T), reflected(0), n % 4 == 0 and reflected(n // 2)
-
-
-@lru_cache(maxsize=32)
-def _orbits(n: int, symmetries: tuple[bool, bool, bool]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of one entry per orbit of the n x n index pairs under the
-    group that the holding _symmetries generate, and the n x n index of each
-    entry's orbit; read-only, as every caller shares them.  The maps are
-    commuting involutions, so the group is the products of their subsets."""
-    h = n // 2
-    maps = (lambda i, j: (j, i), lambda i, j: (-i % n, -j % n),
-            lambda i, j: ((h - i) % n, (h - j) % n))
-    images = [np.indices((n, n))]
-    for holds, act in zip(symmetries, maps):
-        if holds:
-            images += [act(*image) for image in images]
-    first = np.min([i * n + j for i, j in images], axis=0)
-    reps, inverse = np.unique(first, return_inverse=True)
-    inverse = inverse.reshape(n, n)
-    reps.flags.writeable = inverse.flags.writeable = False
-    return reps, inverse
-
-
-def _fold_symmetric(kernel):
-    """kernel(m, z) once per orbit of the index symmetries of a square z
-    (_symmetries), spread over the orbit; any other z goes straight through.
-    The values are bitwise those of kernel."""
+def _on_orbits(kernel):
+    """kernel(m, z), or with orbits = (reps, inverse), kernel(m, z.flat[reps])
+    spread over z's shape by inverse; the values are bitwise those of kernel."""
     @wraps(kernel)
-    def folded(m, z):
+    def folded(m, z, orbits=None):
+        if orbits is None:
+            return kernel(m, z)
+        reps, inverse = orbits
         z = np.asarray(z)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            return kernel(m, z)
-        symmetries = _symmetries(z)
-        if not any(symmetries):
-            return kernel(m, z)
-        reps, inverse = _orbits(z.shape[0], symmetries)
         values = kernel(m, np.take(z, reps))
-        # np.take into a fresh array, not values[inverse]: numpy's SIMD loops can
-        # round by operand alignment, and this form keeps the assembled operators
-        # bitwise those of the unfolded kernel (tests/test_bie.py)
-        out = np.empty(z.shape, values.dtype)
-        return np.take(values, inverse, out=out)
+        # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
+        # an out of z's shape rejects orbits that do not fit z
+        return np.take(values, inverse, out=np.empty(z.shape, values.dtype))
     return folded
 
 
@@ -125,12 +83,13 @@ def _bessel_j(m: int, z, n: int):
     return -value if m < 0 and m % 2 else value
 
 
-@_fold_symmetric
+@_on_orbits
 def bessel_j(m: int, z):
     """Bessel function of the first kind J_m(z), integer order.
 
     Real input stays on the real path (the result dtype matches the input),
-    so ``im(J_m(x)) == 0`` exactly for real x.
+    so ``im(J_m(x)) == 0`` exactly for real x.  ``orbits``: one evaluation
+    per symmetry orbit of z, as the module docstring states.
     """
     return _bessel_j(m, z, 0)
 
@@ -146,13 +105,13 @@ def bessel_j_second(m: int, z):
     return _bessel_j(m, z, 2)
 
 
-@_fold_symmetric
+@_on_orbits
 def hankel1(m: int, z):
     """Hankel function of the first kind H^(1)_m(z) for m in {0, 1}.
 
     Requires ``re(z) > 0`` (away from the branch cut) and ``|z| >= 1e-8``;
     closer to the origin the logarithmic singularity must be handled by the
-    caller's kernel splitting.
+    caller's kernel splitting.  ``orbits`` as for :func:`bessel_j`.
     """
     if m not in (0, 1):
         raise RangeError(f"hankel1 supports orders 0 and 1 only, got {m}")

@@ -116,8 +116,9 @@ class TestQuadratureData:
         for a, b in zip(first, copies):
             assert np.array_equal(a, b)
         assert np.array_equal(assemble_single_layer(s, 1.5 + 0.1j), copies[0])
-        assert s.chords is s.chords  # built once per sample
-        for cached in (*s.chords, *bie._log_quadrature(s.n)):
+        # built once per sample
+        assert s.chords is s.chords and s.orbits is s.orbits and s.nystrom is s.nystrom
+        for cached in (*s.chords, *s.orbits, *s.nystrom):
             assert not cached.flags.writeable
 
 
@@ -125,28 +126,82 @@ ASYMMETRIC = make_curve("trig", xc=(0.1, 1.0, 0.2, 0.05), xs=(0.0, 0.1, 0.07, 0.
                         yc=(0.0, 0.15, 0.0, 0.03), ys=(0.05, 1.1, -0.1, 0.02))
 
 
+def _log_split_reference(s, k):
+    """S_k and K^T_k by the log split as first written: each kernel split as
+    smooth * log + rest, the smooth part weighted by R, the rest by the trapezoid
+    rule, with orbits=None."""
+    n, speed, h = s.n, s.speeds, 2.0 * np.pi / s.n
+    l = np.arange(n)
+    m = np.arange(1, n // 2)
+    w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
+    weights = (w - (4.0 * np.pi / n**2) * np.cos(np.pi * l))[np.abs(l[:, None] - l[None, :])]
+    log = np.log(4.0 * np.sin((s.t[:, None] - s.t[None, :]) / 2.0) ** 2 + np.eye(n))
+
+    def split(smooth, full, smooth_diag, rest_diag):
+        rest = full - smooth * log
+        np.fill_diagonal(smooth, smooth_diag)
+        np.fill_diagonal(rest, rest_diag)
+        return weights * smooth + h * rest
+
+    r = s.chords[0] + np.eye(n)
+    z = k * r
+    limit = (0.25j - bie.EULER_GAMMA / (2.0 * np.pi) - np.log(k * speed / 2.0) / (2.0 * np.pi))
+    S = split(-(1.0 / (4.0 * np.pi)) * special.bessel_j(0, z) * speed,
+              0.25j * special.hankel1(0, z) * speed, -(1.0 / (4.0 * np.pi)) * speed, limit * speed)
+    g = s.chords[1] / r * speed
+    K = split((k / (4.0 * np.pi)) * special.bessel_j(1, z) * g,
+              -(0.25j * k) * special.hankel1(1, z) * g, 0.0, -s.curvatures * speed / (4.0 * np.pi))
+    return S, K
+
+
 class TestSymmetricKernels:
-    @pytest.mark.parametrize("shape, n", [("ellipse:a=1,b=1.2", 120), ("ellipse:a=1,b=1.2", 240),
-                                          ("kite", 64), ("circle:r=1", 240),
-                                          ("ellipse:a=1,b=1.2", 122), ("trig", 240)])
+    INPUTS = [("ellipse:a=1,b=1.2", 120), ("ellipse:a=1,b=1.2", 240), ("kite", 64),
+              ("circle:r=1", 240), ("ellipse:a=1,b=1.2", 122), ("trig", 240)]
+    KS = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j)
+
+    @staticmethod
+    def _sample(shape, n):
+        # "trig" has no mirror symmetry
+        return sample(ASYMMETRIC if shape == "trig" else parse_shape(shape), n)
+
+    @pytest.mark.parametrize("shape, n", INPUTS)
     def test_fold_leaves_operators_bitwise_equal(self, shape, n, monkeypatch):
-        # "trig" has no mirror symmetry; 122 nodes keep only the y -> -y one
-        s = sample(ASYMMETRIC if shape == "trig" else parse_shape(shape), n)
-        # the kernels fold only a bitwise symmetric argument
-        assert np.array_equal(s.chords[0], s.chords[0].T)
-        ks = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j)
+        # the operators assembled with sample.orbits equal those with orbits=None
+        s = self._sample(shape, n)
 
         def operators():
             nep = HelmholtzNep(s, EX34)
             return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k), nep(k))
-                    for k in ks]
+                    for k in self.KS]
 
         folded = operators()
-        monkeypatch.setattr(bie, "hankel1", special.hankel1.__wrapped__)
-        monkeypatch.setattr(bie, "bessel_j", special.bessel_j.__wrapped__)
+        monkeypatch.setattr(bie, "hankel1", lambda m, z, orbits: special.hankel1(m, z))
+        monkeypatch.setattr(bie, "bessel_j", lambda m, z, orbits: special.bessel_j(m, z))
         for with_fold, without in zip(folded, operators()):
             for a, b in zip(with_fold, without):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape, n", INPUTS)
+    def test_fused_assembly_matches_the_log_split(self, shape, n):
+        s = self._sample(shape, n)
+        for k in self.KS:
+            S, K = _log_split_reference(s, k)
+            for got, want in ((assemble_single_layer(s, k), S),
+                              (assemble_adjoint_double_layer(s, k), K)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            P = linalg.solve_right(0.5 * np.eye(s.n) + K, S)
+            got = bie._trace_ratio(s, k)
+            assert np.max(np.abs(got - P)) <= 1e-13 * np.max(np.abs(P))
+
+    def test_one_amos_call_per_kernel_on_the_orbit_representatives(self, amos_points):
+        # a caller that dropped the orbits would evaluate all n^2 points instead
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 240)
+        reps = len(s.orbits[0])
+        assert reps == 7321
+        for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
+            amos_points.clear()
+            assemble(s, 2.7 - 0.15j)
+            assert amos_points == [reps, reps]  # J_m, then H1_m through K_m
 
 
 class TestAssembleM:
@@ -209,6 +264,23 @@ class TestHelmholtzNep:
 
         ref = EX34.lam * trace_ratio(z * EX34.sqrt_n) - trace_ratio(z) - EX34.eta * np.eye(s.n)
         assert np.allclose(nep(z), ref, atol=1e-13)
+
+    def test_sample_tables_built_before_the_pool(self):
+        # the pool's threads then only read them, and never build them twice
+        s = sample(parse_shape("kite"), 32)
+        HelmholtzNep(s, EX34)
+        assert {"chords", "orbits", "nystrom"} <= vars(s).keys()
+
+    def test_matrix_bitwise_equal_to_the_identity_form(self):
+        # M(z) is formed in place; its bits, signed zeros included, are those of
+        # lam P_w - P_v - eta I
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
+        for params in (EX34, MaterialParams(n=2.0, eta=0.3, lam=0.5)):
+            nep = HelmholtzNep(s, params)
+            for z in (1.2 + 0.1j, 2.5 - 0.05j):
+                P_w, P_v = nep._cache(z * params.sqrt_n), nep._cache(z)
+                want = params.lam * P_w - P_v - params.eta * np.eye(s.n)
+                assert np.array_equal(nep(z).view(np.uint64), want.view(np.uint64))
 
     def test_cache_budget_shared_by_copies(self, monkeypatch):
         # the budget holds across copies: three matrices fit, the oldest goes

@@ -92,12 +92,14 @@ class TestSample:
             assert np.max(np.abs(dots)) <= 1e-14
 
     def test_mirror_exact_nodes(self):
-        # node -i is node i under y -> -y, and node n/2 - i node i under x -> -x
-        # (4 | n), bitwise; every node within 1e-15 of the curve at the exact
-        # 2 pi i / n (curve.point(s.t) itself is off by up to 1 ulp of t, 1e-15)
-        n = 240
-        i = np.arange(n)
-        for spec, x_mirror in (("circle:r=1", True), ("ellipse:a=1,b=1.2", True), ("kite", False)):
+        # node -i is node i under y -> -y, and node n/2 - i node i under x -> -x,
+        # bitwise, for 4 | n and for n = 122, where l -> n/2 - l fixes no table
+        # entry; every node within 1e-15 of the curve at the exact 2 pi i / n
+        # (curve.point(s.t) itself is off by up to 1 ulp of t, 1e-15)
+        for n, spec, x_mirror in ((240, "circle:r=1", True), (240, "ellipse:a=1,b=1.2", True),
+                                  (240, "kite", False), (122, "ellipse:a=1,b=1.2", True),
+                                  (122, "kite", False)):
+            i = np.arange(n)
             c = parse_shape(spec)
             s = sample(c, n)
             assert np.array_equal(s.points[-i % n], s.points * (1, -1))

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from tevsolve import special
 from tevsolve.errors import RangeError, SingularityError
-from tevsolve.geometry import make_curve, parse_shape, sample
+from tevsolve.geometry import _orbits, make_curve, parse_shape, sample
 from tevsolve.special import (
     bessel_j,
     bessel_j_prime,
@@ -244,44 +243,54 @@ class TestSymmetricFold:
                     assert got.shape == np.shape(x) and got.dtype == want.dtype
                     assert np.array_equal(got, want)
 
-    @staticmethod
-    def _count_points(monkeypatch):
-        """The argument sizes of every Amos K_m and J_m call, in order."""
-        points = []
-        for name in ("kv", "jv"):
-            amos = getattr(sp, name)
-            monkeypatch.setattr(special._sp, name,
-                                lambda m, z, amos=amos: points.append(np.size(z)) or amos(m, z))
-        return points
-
-    def test_symmetric_input_evaluates_the_upper_triangle(self, monkeypatch):
-        points = self._count_points(monkeypatch)
+    def test_symmetric_input_evaluates_the_upper_triangle(self, amos_points):
+        # the orbits of a random symmetric matrix are those of the transpose alone
+        points = amos_points
         z = _symmetric(12)
-        for kernel in (hankel1, bessel_j):
+        orbits = _orbits(z)
+        for kernel, scipy_kernel in self.KERNELS:
+            for m in (0, 1):
+                points.clear()
+                assert np.array_equal(kernel(m, z, orbits=orbits), scipy_kernel(m, z))
+                assert points == [12 * 13 // 2]
+                points.clear()
+                kernel(m, z + np.triu(np.full((12, 12), 1e-3), 1),
+                       orbits=_orbits(z + np.triu(np.full((12, 12), 1e-3), 1)))
+                assert points == [144]
+
+    def test_without_orbits_every_point_is_evaluated(self, amos_points):
+        points = amos_points
+        z = _symmetric(12)
+        for kernel, _ in self.KERNELS:
             for m in (0, 1):
                 points.clear()
                 kernel(m, z)
-                assert points == [12 * 13 // 2]
-                points.clear()
-                kernel(m, z + np.triu(np.full((12, 12), 1e-3), 1))
                 assert points == [144]
+
+    def test_orbits_must_fit_the_argument(self):
+        orbits = _orbits(_symmetric(12))
+        for kernel, _ in self.KERNELS:
+            for n in (10, 14):
+                with pytest.raises((IndexError, ValueError)):
+                    kernel(0, _symmetric(n), orbits=orbits)
 
     @pytest.mark.parametrize("curve, n, orbits", [
         (parse_shape("ellipse:a=1,b=1.2"), 240, 7321),  # transpose and both mirrors
         (parse_shape("kite"), 240, 14521),              # transpose and y -> -y
         (ASYMMETRIC, 240, 240 * 241 // 2),              # transpose only
-        (parse_shape("ellipse:a=1,b=1.2"), 122, 3783),  # 4 does not divide 122: y -> -y only
+        (parse_shape("ellipse:a=1,b=1.2"), 122, 1922),  # both mirrors, neither with a fixed node
         # transpose and x -> -x: a kite pointing up, (cos t, sin t + 0.3 cos 2t)
         (make_curve("trig", xc=(0, 1), xs=(0, 0), yc=(0, 0, 0.3), ys=(0, 1)), 240, 14521),
     ], ids=["ellipse-240", "kite-240", "trig-240", "ellipse-122", "x-mirror-240"])
-    def test_curve_distances_evaluate_one_point_per_orbit(self, curve, n, orbits, monkeypatch):
+    def test_curve_distances_evaluate_one_point_per_orbit(self, curve, n, orbits, amos_points):
         s = sample(curve, n)
+        assert len(s.orbits[0]) == orbits
         z = (2.7 - 0.15j) * (s.chords[0] + np.eye(n))
-        points = self._count_points(monkeypatch)
+        points = amos_points
         for ours, scipy_kernel in self.KERNELS:
             for m in (0, 1):
                 points.clear()
-                got = ours(m, z)
+                got = ours(m, z, orbits=s.orbits)
                 assert points == [orbits]
                 assert np.array_equal(got, scipy_kernel(m, z))
 
@@ -294,13 +303,15 @@ class TestSymmetricFold:
             (2.0e4, (hankel1, bessel_j), RangeError),      # |z| > 1e4
             (1.0 - 800j, (bessel_j,), RangeError),         # J overflows
         )
+        orbits = _orbits(_symmetric(6))
         for bad, kernels, error in cases:
             z = _symmetric(6)
             z[1, 4] = z[4, 1] = bad
             for kernel in kernels:
                 for m in (0, 1):
-                    with pytest.raises(error):
-                        kernel(m, z)
+                    for given in (orbits, None):
+                        with pytest.raises(error):
+                            kernel(m, z, orbits=given)
 
 
 class TestPositiveRoots:
