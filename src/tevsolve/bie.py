@@ -39,7 +39,7 @@ invertible); an LU pivot failure there raises InteriorResonance.
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -52,8 +52,6 @@ from .special import bessel_j, hankel1
 
 EULER_GAMMA = 0.57721566490153286061
 MIN_NODES = 16
-# trace-ratio cache budget of one HelmholtzNep and its copies: 192 MiB // 16 N^2 matrices
-CACHE_BYTES = 192 * 1024 * 1024
 
 
 def _check_wavenumber(k: complex) -> complex:
@@ -137,11 +135,13 @@ def _trace_ratio(sample: CurveSample, k: complex) -> np.ndarray:
 class HelmholtzNep:
     """Callable z -> M(z) for a fixed curve sample and material parameters.
 
-    Caches the trace-ratio matrices P(k) per wavenumber (the dominant cost:
-    two assemblies plus an LU), so sweeps that revisit the same contour nodes
-    with different (lam, eta) or with a second sqrt(n) factor reuse them.  The
-    cache is a thread-safe functools.lru_cache of CACHE_BYTES // (16 N^2)
-    matrices (at least one), shared by the copies that with_params makes.
+    Memoizes the trace-ratio matrices P(k) per wavenumber (the dominant cost:
+    two assemblies plus an LU), so the points of a study that revisit the same
+    contour nodes with different (lam, eta), or a node whose k sqrt(n) is
+    another node's k, reuse them.  The memo is a thread-safe functools.cache
+    shared by the copies that with_params makes.  It has no bound of its own
+    and lives as long as the family: the studies make one family per contour,
+    so one contour's work bounds it, and each ratio is freed with its contour.
     """
 
     def __init__(self, sample: CurveSample, params: MaterialParams):
@@ -149,15 +149,14 @@ class HelmholtzNep:
         self.params = params
         _tables(sample)  # built now, before a pool's threads share the sample
         # _trace_ratio is looked up per call, so a patched one takes effect
-        self._cache = lru_cache(maxsize=max(1, CACHE_BYTES // (16 * sample.n**2)))(
-            lambda k: _trace_ratio(sample, k))
+        self._cache = cache(lambda k: _trace_ratio(sample, k))
 
     @property
     def dim(self) -> int:
         return self.sample.n
 
     def with_params(self, params: MaterialParams) -> "HelmholtzNep":
-        """Same curve and cache, different material parameters."""
+        """Same curve and memo, different material parameters."""
         other = copy.copy(self)
         other.params = params
         return other
@@ -171,8 +170,7 @@ class HelmholtzNep:
 
     def prefetch(self, zs, jobs: int) -> None:
         """Build the trace ratios of M(z) at every z in zs on a pool of ``jobs``
-        threads, each wavenumber once, unless they overflow the cache together."""
+        threads, each wavenumber once."""
         ks = list(dict.fromkeys(k for z in map(_check_wavenumber, zs)
                                 for k in (z * self.params.sqrt_n, z)))
-        if len(ks) <= self._cache.cache_info().maxsize:
-            _map(self._cache, ks, jobs)
+        _map(self._cache, ks, jobs)

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import traceback
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
@@ -39,7 +40,7 @@ from .disk import (
     real_roots,
     real_roots_many,
 )
-from .errors import ConfigError, NumericalError, TrackingLost
+from .errors import ConfigError, NumericalError, TevError, TrackingLost
 from .geometry import BoundaryCurve, parse_shape, sample
 from .linalg import _map
 from .materials import REGIME_OUTSIDE, MaterialParams
@@ -390,29 +391,69 @@ def _rows_from_nep(eigs: list[NepEigenvalue]) -> list[SpectrumRow]:
     ]
 
 
-def _bie_eigenvalues(cfg: StudyConfig, nep: HelmholtzNep, partial_errors: list | None = None
-                     ) -> list[NepEigenvalue]:
-    """Union of Beyn solves over the configured contours, deduplicated."""
+def _bie_eigenvalues(cfg: StudyConfig, points: list[MaterialParams],
+                     partial_errors: list | None = None):
+    """Each point's eigenvalues over the configured contours, deduplicated; a
+    generator, in the order of points.
+
+    The work runs contour by contour, and every point is solved before the
+    first is yielded.  Each contour gets one HelmholtzNep, which the points
+    share through with_params: a trace ratio is built once for the study and
+    freed when its contour is done.  Each point's result on each contour, or
+    the TevError its solve raised, is kept, so a point re-raises its first
+    error (in contour order) when it is reached, as solving point by point
+    would; with ``partial_errors`` a NumericalError is logged and appended
+    there instead.
+    """
     if not cfg.bie.contours:
         raise ConfigError("bie method requires at least one contour")
-    found: list[NepEigenvalue] = []
+    curve = sample(cfg.curve, cfg.bie.nodes)
+    by_contour = []
     for contour in cfg.bie.contours:
+        solved = _solve_contour(cfg, HelmholtzNep(curve, cfg.material), contour, points)
+        for exc in solved:
+            if isinstance(exc, TevError):  # the locals of its frames would keep the family alive
+                traceback.clear_frames(exc.__traceback__)
+        by_contour.append(solved)
+    for outcomes in zip(*by_contour):
+        found: list[NepEigenvalue] = []
+        for contour, out in zip(cfg.bie.contours, outcomes):
+            if not isinstance(out, TevError):
+                found.extend(out)
+            elif partial_errors is None or not isinstance(out, NumericalError):
+                raise out
+            else:
+                logger.warning("contour %s failed: %s", contour.label(), out)
+                partial_errors.append((contour, out))
+        yield _merge_overlaps(found, cfg.bie.beyn.merge_radius)
+
+
+def _solve_contour(cfg: StudyConfig, family: HelmholtzNep, contour: ContourSpec,
+                   points: list[MaterialParams]) -> list:
+    """beyn_solve on contour for each point's copy of family, or the TevError it
+    raised.  The caller passes a new family, so its memo goes when this returns."""
+    out = []
+    for params in points:
         try:
-            found.extend(beyn_solve(nep, contour, cfg.bie.beyn, jobs=cfg.effective_jobs))
-        except NumericalError as exc:
-            if partial_errors is None:
-                raise
-            logger.warning("contour %s failed: %s", contour.label(), exc)
-            partial_errors.append((contour, exc))
-    # An eigenvalue in the overlap of two contours comes back twice.  Copies
-    # within merge_radius are one eigenvalue (the radius beyn_solve merges
-    # with inside a contour); the copy lying deepest inside its own contour,
-    # where Beyn's method is most accurate, is kept with its own multiplicity
-    # -- both copies count the same eigenspace, so multiplicities are not summed.
-    found.sort(key=_contour_depth)
+            out.append(beyn_solve(family.with_params(params), contour, cfg.bie.beyn,
+                                  jobs=cfg.effective_jobs))
+        except TevError as exc:
+            out.append(exc)
+    return out
+
+
+def _merge_overlaps(found: list[NepEigenvalue], radius: float) -> list[NepEigenvalue]:
+    """One point's eigenvalues from all its contours, each eigenvalue once.
+
+    An eigenvalue in the overlap of two contours comes back twice.  Copies
+    within radius (the merge_radius beyn_solve merges with inside a contour)
+    are one eigenvalue; the copy lying deepest inside its own contour, where
+    Beyn's method is most accurate, is kept with its own multiplicity -- both
+    copies count the same eigenspace, so multiplicities are not summed.
+    """
     merged: list[NepEigenvalue] = []
-    for e in found:
-        if all(abs(u.k - e.k) > cfg.bie.beyn.merge_radius for u in merged):
+    for e in sorted(found, key=_contour_depth):
+        if all(abs(u.k - e.k) > radius for u in merged):
             merged.append(e)
     merged.sort(key=lambda e: (e.k.real, e.k.imag))
     return merged
@@ -436,18 +477,18 @@ def _real_values(eigs) -> list[float]:
 def _window_values(cfg: StudyConfig, points: list[MaterialParams]):
     """The distinct real eigenvalues at each point, in order.
 
-    The determinant path scans all points and modes in one pass, on the
-    pool; the BIE path solves each point when its values are asked for.
+    Both paths solve every point before the first yield: the determinant
+    path scans all points and modes in one pass, on the pool; the BIE path
+    solves all points contour by contour (_bie_eigenvalues), and a point's
+    error is raised when that point is reached.
     """
     if cfg.method == "determinant":
         det = cfg.determinant
-        for eigs in real_roots_many(points, det.m_max, det.k_range, det.tol,
-                                    jobs=cfg.effective_jobs):
-            yield _real_values(eigs)
-        return
-    nep = HelmholtzNep(sample(cfg.curve, cfg.bie.nodes), cfg.material)
-    for params in points:
-        yield _real_values(_bie_eigenvalues(cfg, nep.with_params(params)))
+        eigs = real_roots_many(points, det.m_max, det.k_range, det.tol, jobs=cfg.effective_jobs)
+    else:
+        eigs = _bie_eigenvalues(cfg, points)
+    for e in eigs:
+        yield _real_values(e)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +514,7 @@ def run_spectrum(cfg: StudyConfig, partial_errors: list | None = None) -> list[S
                      if all(d.mode_m != e.mode_m or abs(d.k - e.k) >= MERGE_TOL for d in eigs)]
         eigs.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
         return _rows_from_disk(eigs)
-    nep = HelmholtzNep(sample(cfg.curve, cfg.bie.nodes), cfg.material)
-    return _rows_from_nep(_bie_eigenvalues(cfg, nep, partial_errors))
+    return _rows_from_nep(next(_bie_eigenvalues(cfg, [cfg.material], partial_errors)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from tevsolve import special
+from tevsolve import bie, special
 
 
 @pytest.fixture
@@ -15,3 +15,14 @@ def amos_points(monkeypatch):
         monkeypatch.setattr(special._sp, name,
                             lambda m, z, amos=amos: points.append(np.size(z)) or amos(m, z))
     return points
+
+
+@pytest.fixture
+def trace_ratios(monkeypatch):
+    """The wavenumber of every trace ratio P(k) that :mod:`bie` builds, in the
+    order built (the order is the pool's when a family runs on more than one
+    thread)."""
+    built = []
+    original = bie._trace_ratio
+    monkeypatch.setattr(bie, "_trace_ratio", lambda s, k: built.append(k) or original(s, k))
+    return built

@@ -41,6 +41,16 @@ class Diagonal:
         return np.diag(z - self.roots)
 
 
+class Rational:
+    """M(z) = diag((z - 0.1)(z - 0.5)/(z - 3), (z + 0.3)(z - 0.2i)/(z + 3)): four
+    simple eigenvalues inside the unit circle, two more than the dimension."""
+
+    dim = 2
+
+    def __call__(self, z):
+        return np.diag([(z - 0.1) * (z - 0.5) / (z - 3), (z + 0.3) * (z - 0.2j) / (z + 3)])
+
+
 @pytest.fixture(scope="module")
 def disk_nep():
     return HelmholtzNep(sample(parse_shape("circle:r=1"), 120), EX34)
@@ -143,6 +153,30 @@ class TestScalarAndPolynomial:
         assert len(out) == 70 and all(e.multiplicity == 1 for e in out)
         got = np.sort_complex(np.array([e.k for e in out]))
         assert np.max(np.abs(got - np.sort_complex(inside))) <= 1e-10
+
+
+class TestMoreEigenvaluesThanDimension:
+    """Four eigenvalues in the unit circle of a 2 x 2 family."""
+
+    CONTOUR = ContourSpec(0.0, 1.0, 64)
+    INSIDE = [-0.3, 0.2j, 0.1, 0.5]
+
+    @pytest.mark.parametrize("probes", [1, 2])
+    def test_probe_space_up_to_dim_saturates(self, probes):
+        with pytest.raises(CapacityExceeded):
+            beyn_solve(Rational(), self.CONTOUR, BeynConfig(probe_columns=probes))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: with more probes than dim the moment rank stops at dim, "
+        "below the four eigenvalues inside, and beyn_solve returns [] without an error"))
+    @pytest.mark.parametrize("probes", [3, 5, 8])
+    def test_more_probes_than_dim_find_all_or_raise(self, probes):
+        try:
+            out = beyn_solve(Rational(), self.CONTOUR, BeynConfig(probe_columns=probes))
+        except CapacityExceeded:
+            return
+        got = sorted((e.k for e in out), key=lambda z: (z.real, z.imag))
+        assert got == pytest.approx(self.INSIDE, abs=1e-8)
 
 
 class TestDiskBoundaryProblem:

@@ -282,51 +282,31 @@ class TestHelmholtzNep:
                 want = params.lam * P_w - P_v - params.eta * np.eye(s.n)
                 assert np.array_equal(nep(z).view(np.uint64), want.view(np.uint64))
 
-    def test_cache_budget_shared_by_copies(self, monkeypatch):
-        # the budget holds across copies: three matrices fit, the oldest goes
-        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
+    def test_copies_share_one_unbounded_memo(self, trace_ratios):
+        # a ratio built through one copy is a hit for the others, and nothing
+        # is evicted: the family's lifetime, not a budget, bounds the memo
         s = sample(parse_shape("circle:r=1"), 32)
         nep = HelmholtzNep(s, EX34)
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
-        other(1.5)
-        nep(1.7)
-        assert nep._cache.cache_info().currsize == 3
-        other(1.9)
-        assert nep._cache.cache_info().currsize == 3
+        zs = [1.1 + 0.1j * j for j in range(6)]
+        for z in zs:
+            other(z)
+        for z in reversed(zs):
+            nep(z)
+        assert sorted(trace_ratios, key=abs) == sorted(
+            [k for z in zs for k in (z, z * EX34.sqrt_n)], key=abs)
+        info = nep._cache.cache_info()
+        assert info.maxsize is None and (info.hits, info.currsize) == (12, 12)
 
-    def test_cache_hit_refreshes_entry(self, monkeypatch):
-        # with room for three, a hit on A makes B the least recently used
-        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
-        built = []
-        original = bie._trace_ratio
-        monkeypatch.setattr(bie, "_trace_ratio", lambda curve, k: built.append(k) or
-                            original(curve, k))
-        cache = HelmholtzNep(sample(parse_shape("circle:r=1"), 32), EX34)._cache
-        for k in (1.1, 1.2, 1.3, 1.1, 1.4):
-            cache(k)
-        assert built == [1.1, 1.2, 1.3, 1.4]
-        cache(1.1)
-        assert len(built) == 4
-        cache(1.2)
-        assert built[4:] == [1.2]
-
-    def test_prefetch_builds_each_trace_ratio_once(self, monkeypatch):
+    def test_prefetch_builds_each_trace_ratio_once(self, trace_ratios):
         s = sample(parse_shape("circle:r=1"), 32)
-        built = []
-        original = bie._trace_ratio
-        monkeypatch.setattr(bie, "_trace_ratio", lambda curve, k: built.append(k) or
-                            original(curve, k))
         zs = [1.5 + 0.1j, 1.7, 1.5 + 0.1j]
         nep = HelmholtzNep(s, EX34)
         nep.prefetch(zs, 2)
-        assert sorted(built, key=abs) == [1.5 + 0.1j, 1.7, 3.0 + 0.2j, 3.4]
+        assert sorted(trace_ratios, key=abs) == [1.5 + 0.1j, 1.7, 3.0 + 0.2j, 3.4]
         for z in zs:
             nep(z)
-        assert len(built) == 4
-        # four matrices do not fit in a budget of three: nothing is built ahead
-        monkeypatch.setattr(bie, "CACHE_BYTES", 3 * 32 * 32 * 16)
-        HelmholtzNep(s, EX34).prefetch(zs, 2)
-        assert len(built) == 4
+        assert len(trace_ratios) == 4
 
     def test_cache_shared_across_parameters(self):
         s = sample(parse_shape("circle:r=1"), 64)

@@ -5,16 +5,17 @@ import math
 import shlex
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tevsolve.beyn import BeynConfig, ContourSpec, beyn_solve
-from tevsolve import cli
+from tevsolve import cli, studies
+from tevsolve.beyn import BeynConfig, ContourSpec, NepEigenvalue, beyn_solve
 from tevsolve.cli import _build_parser, main
-from tevsolve.errors import ConfigError, TrackingLost
+from tevsolve.errors import CapacityExceeded, ConfigError, TrackingLost
 from tevsolve.materials import MaterialParams
 from tevsolve.studies import (
     CONFIG_KEYS,
@@ -36,6 +37,7 @@ from tevsolve.studies import (
     write_flag,
     write_table,
     _bie_eigenvalues,
+    _merge_overlaps,
 )
 from tevsolve.testing import MatrixPolynomial
 
@@ -300,13 +302,88 @@ class TestCrossContourMerge:
         # the edge (depth 0.67, 12 nodes) of the narrow one, so the wide
         # contour's copy is kept
         wide, narrow = ContourSpec(1.5, 1.2, 24), ContourSpec(2.6, 0.9, 12)
-        cfg = StudyConfig(method="bie", bie=BieSettings(
-            contours=(narrow, wide), beyn=BeynConfig(probe_columns=4)))
-        eigs = _bie_eigenvalues(cfg, double_root_poly())
+        beyn = BeynConfig(probe_columns=4)
+        poly = double_root_poly()
+        eigs = _merge_overlaps([e for c in (narrow, wide) for e in beyn_solve(poly, c, beyn)],
+                               beyn.merge_radius)
         assert len(eigs) == 1
         assert eigs[0].contour == wide
         assert eigs[0].multiplicity == 2
         assert eigs[0].k == pytest.approx(2.0, abs=1e-8)
+
+
+class TestContourMajor:
+    """BIE studies run contour by contour, with one family per contour."""
+
+    FIRST, SECOND = ContourSpec(2.5, 0.5, 24), ContourSpec(3.5, 0.5, 24)
+
+    @staticmethod
+    def cfg(*contours, nodes=32) -> StudyConfig:
+        return StudyConfig(shape="ellipse:a=1,b=1.2", material=MaterialParams(4.0, 1.0, 1.0),
+                           method="bie", bie=BieSettings(nodes=nodes, contours=contours), jobs=1)
+
+    def test_points_share_each_node_ratio(self, trace_ratios):
+        # three lambda points on one contour: the 48 node wavenumbers (z and
+        # 2z) are built once for the study, and each point's eigenvalues are
+        # bitwise those of the point solved alone
+        cfg = self.cfg(self.FIRST)
+        points = [cfg.material.replace(lam=lam) for lam in (1.0, 0.5, 0.75)]
+        together = list(_bie_eigenvalues(cfg, points))
+        node_ks = [k for z in self.FIRST.nodes() for k in (2.0 * z, z)]
+        assert [trace_ratios.count(k) for k in node_ks] == [1] * 48
+        assert len(trace_ratios) == len(set(trace_ratios))
+        assert together == [next(_bie_eigenvalues(cfg, [p])) for p in points]
+        assert all(together)
+
+    def test_each_contour_family_is_freed_before_the_next(self, monkeypatch):
+        # a memo that outlived its contour would still be alive when the
+        # second contour's solves start; an error kept for a later point
+        # (raised here in a frame that holds the family) must not keep it
+        memos: list[weakref.ref] = []
+        alive = []
+
+        def solve(nep, contour, cfg, jobs):
+            nep(contour.nodes()[0])
+            if not any(m() is nep._cache for m in memos):
+                memos.append(weakref.ref(nep._cache))
+            alive.append([m() is not None for m in memos])
+            if contour == self.FIRST and nep.params.lam == 0.5:
+                raise CapacityExceeded("saturated")
+            return []
+
+        monkeypatch.setattr(studies, "beyn_solve", solve)
+        cfg = self.cfg(self.FIRST, self.SECOND)
+        errors = []
+        points = [cfg.material, cfg.material.replace(lam=0.5)]
+        assert list(_bie_eigenvalues(cfg, points, errors)) == [[], []]
+        assert alive == [[True], [True], [False, True], [False, True]]
+        assert [(c, type(e)) for c, e in errors] == [(self.FIRST, CapacityExceeded)]
+        assert memos[1]() is None
+
+    @pytest.mark.parametrize("failing, raised", [
+        ((FIRST, 0.75), "TrackingLost: the window at lambda = 0.5 holds 1"),
+        ((SECOND, 0.5), "CapacityExceeded: saturated"),
+    ])
+    def test_errors_keep_point_order(self, monkeypatch, failing, raised):
+        # points lambda = 1, 0.5, 0.75: the second holds one value.  Every point
+        # is solved on the first contour, then on the second, but the study
+        # fails where a point-by-point study would: at the first point that
+        # is short of values or whose solve raised
+        calls = []
+
+        def solve(nep, contour, cfg, jobs):
+            lam = nep.params.lam
+            calls.append((contour, lam))
+            if (contour, lam) == failing:
+                raise CapacityExceeded("saturated")
+            values = (2.2,) if lam == 0.5 else (2.1, 2.4, 2.7)
+            return [NepEigenvalue(k, 0.0, 1, contour) for k in values if contour.contains(k)]
+
+        monkeypatch.setattr(studies, "beyn_solve", solve)
+        with pytest.raises((TrackingLost, CapacityExceeded)) as info:
+            run_convergence_study(self.cfg(self.FIRST, self.SECOND), side="below", p_max=2)
+        assert f"{info.type.__name__}: {info.value}".startswith(raised)
+        assert calls == [(c, lam) for c in (self.FIRST, self.SECOND) for lam in (1.0, 0.5, 0.75)]
 
 
 class TestInContourMerge:
