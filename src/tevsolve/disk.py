@@ -1,22 +1,22 @@
-"""Exact unit-disk spectrum via the angular-mode determinants.
+"""Exact unit-disk spectrum via the scaled angular-mode determinants.
 
 Separation of variables on the unit disk reduces the transmission eigenvalue
-problem to scalar root finding: for each integer mode m >= 0,
+problem to scalar root finding: k != 0 is an eigenvalue iff, for some mode m,
 
-    det_m(k) = -J_m(k s) (k J'_m(k) + eta J_m(k)) + lam J'_m(k s) k s J_m(k),
+    det_m(k) = -J_m(k s) (k J'_m(k) + eta J_m(k)) + lam J'_m(k s) k s J_m(k) = 0,
 
-with s = sqrt(n), and k is an eigenvalue iff det_m(k) = 0 for some m.  det_m
-is entire in k and real on the real axis for real parameters, so real roots
-are found by sign-change bracketing, and those in a rectangle of the complex
-plane from argument-principle counts and moments on boxes (complex_roots).
+with s = sqrt(n).  det_m scales like (k/2)^{2m} n^{m/2} / m!^2, so the solver
+works with D_m = det_m / [(k/2)^m/m! (k s/2)^m/m!].  With F_m(z) = J_m(z)
+m!/(z/2)^m (DLMF 10.16.9) and k J'_m = m J_m - k J_{m+1} (DLMF 10.6.2),
 
-det_m is bilinear in (eta, lam) once J_m and J'_m are known at k and k s, and
-so is det_m' (J''_m by Bessel's equation).  The real-axis scan of a study's
-points (a lambda -> 1 study, an n, eta or lambda sweep) evaluates all modes at
-once, at k and at k s once per distinct n: scipy gives J_M and J'_M for the top
-mode M, and the downward recurrence J_{m-1} = (2m/z) J_m - J_{m+1} the modes
-below.  Each point bisects its own brackets one mode at a time, so its roots
-are those of a one-point scan.  Scan pieces, then modes, are pool tasks.
+    D_m(k) = (m (lam - 1) - eta) F_m(k) F_m(k s)
+             + k^2/(2(m+1)) [F_m(k s) F_{m+1}(k) - lam n F_m(k) F_{m+1}(k s)]:
+
+entire, even, real for real k, with D_m(0) = m (lam - 1) - eta at every order.
+Real roots come from a sign-change scan of all of a study's points and modes
+at once (F at k once, at k s once per distinct n) and bisection one mode at a
+time; those in a complex rectangle from argument-principle counts and moments
+on boxes (complex_roots).
 
 Mode m = 0 gives simple eigenvalues; every m >= 1 eigenvalue carries the
 two-dimensional angular eigenspace (e^{+imt}, e^{-imt}) and is recorded once
@@ -26,6 +26,7 @@ distinct k values, the way the reference tables list them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +35,23 @@ from . import linalg
 from .errors import ConfigError, NumericalFailure, RangeError, SingularMatrix
 from .linalg import _map
 from .materials import MaterialParams
-from .special import MAX_ORDER, bessel_j, bessel_j_prime
+from .special import bessel_j, bessel_j_prime
 
+MAX_MODE = 169  # D_m takes J_{m+1}: special's orders end at 170
 DEFAULT_M_MAX = 10
 DEFAULT_K_MIN = 1.0e-3
 _SCAN_STEP_CAP = 0.01
 _SCAN_STEP_FLOOR = 1.0e-4
 _SCAN_PIECE = 1024  # grid points per scan task
 _MAX_ZEROS, _MAX_SPLITS, _POLISH_STEPS = 3, 40, 8  # per box, per search, per root
-_RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off the zero of det_m at k = 0
+_RE_FLOOR = 1.0e-6  # the search keeps re k >= 1e-6, off k = 0, a root when eta = m (lam - 1)
 _J_FLOOR = 1.0e-280  # scipy's jv returns 0 for |J| below about 1e-289
 
 
 @dataclass(frozen=True)
 class DiskEigenvalue:
-    """A root of det_m: eigenvalue k, its mode index, multiplicity, residual.
-
-    residual is the absolute |det_m(k)|, not a relative one: far below 1e-200
-    at high m, and not comparable across modes."""
+    """A root of D_m: eigenvalue k, its mode index, multiplicity, and residual
+    |D_m(k)|, which unlike |det_m| does not underflow at high m and small k."""
 
     k: complex
     mode_m: int
@@ -60,76 +60,83 @@ class DiskEigenvalue:
 
 
 def disk_determinant(m, k, p):
-    """Evaluate det_m(k); vectorized over k, entire in k, real for real k.
+    """Evaluate D_m(k); vectorized over k, entire and even in k, real for real k.
 
     p is one MaterialParams, or a sequence of them: the result then has one
-    row per point, (len(p),) + shape(k), each row bitwise equal to the
-    one-point value.  A sequence of orders m puts one row per order ahead of
-    those, within 1e-12 of the sum of the magnitudes of det_m's terms of the
-    one-order value (the recurrence of _bessel_table against scipy's J_m).  The
-    Bessel tables are made once at k, and at k sqrt(n) once per distinct n.
-    """
+    row per point, (len(p),) + shape(k), each bitwise the one-point value.  A
+    sequence of orders m puts one row per order ahead of those, within 1e-12 of
+    the sum of the magnitudes of D_m's terms of the one-order value."""
     orders = (m,) if np.ndim(m) == 0 else tuple(m)
     points = (p,) if isinstance(p, MaterialParams) else tuple(p)
     k = np.asarray(k)
-    jm, jpm = _bessel_table(orders, k)
-    out = np.empty((len(orders), len(points)) + np.shape(k), np.result_type(k, jm, jpm))
+    f, f1, o = _f_rows(orders, k)
+    ck2 = k * k / (2 * o + 2)
+    out = np.empty((len(orders), len(points)) + k.shape, np.result_type(k, f))
     for n in dict.fromkeys(q.n for q in points):
         rows = [i for i, q in enumerate(points) if q.n == n]
-        s = points[rows[0]].sqrt_n
-        jm_s, jpm_s = _bessel_table(orders, k * s)
+        f_s, f1_s, _ = _f_rows(orders, k * points[rows[0]].sqrt_n)
+        a, b, d = f * f_s, ck2 * f_s * f1, n * ck2 * f * f1_s
         for i in rows:
-            q = points[i]
-            out[:, i] = -jm_s * (k * jpm + q.eta * jm) + q.lam * jpm_s * k * s * jm
+            out[:, i] = (o * (points[i].lam - 1) - points[i].eta) * a + b - points[i].lam * d
     out = out[:, 0] if isinstance(p, MaterialParams) else out
     return out[0] if np.ndim(m) == 0 else out
 
 
-def _bessel_table(orders, z):
-    """J_o(z) and J'_o(z) for each order o, from one J_M, J'_M pair, M = max(orders).
-
-    Two Bessel calls per argument.  Below them J_{M-1} = J'_M + (M/z) J_M
-    (DLMF 10.6.2) and J_{m-1} = (2m/z) J_m - J_{m+1} (DLMF 10.6.1) fill the
-    orders down to min(orders) - 1: run downward the recurrence is stable, since
-    J is its minimal solution (Gautschi 1967).  J'_o = (J_{o-1} - J_{o+1}) / 2
-    below the top, the sum scipy's jvp forms.  Where |J_M| < 1e-280 (high M at
-    small z, and z = 0) the recurrence has nothing sound to start from: scipy
-    flushes J_M, or the J_{M+1} inside J'_M, to 0 below about 1e-289.  Those
-    entries take J_o from bessel_j order by order, exact at z = 0.  A one-order
-    table is the two calls alone.  A non-finite value raises RangeError.
-    """
+def _f_rows(orders, z):
+    """F_o(z) and F_{o+1}(z) per order o (rows), and the orders shaped to match;
+    for one order, _f_top's two values and the order.  Below F_T, T = max(orders)
+    + 1, F_{o-1} = F_o - z^2/(4o(o+1)) F_{o+1} (DLMF 10.6.1 scaled), stable
+    downward since J is its minimal solution (Gautschi 1967).  A non-finite
+    value of that table raises RangeError."""
     z = np.asarray(z)
-    lo, top = min(orders), max(orders)
-    j_top, jp_top = bessel_j(top, z), bessel_j_prime(top, z)
-    j = np.empty((top - lo + 2,) + z.shape, j_top.dtype)  # J_{lo-1} .. J_top
-    j[-1] = j_top
-    if lo < top:
-        flat = np.abs(j_top) < _J_FLOOR
-        inv_z = 1 / np.where(flat, 1, z)
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below
-            j[-2] = jp_top + top * inv_z * j_top
-            for m in range(top - 1, lo - 1, -1):
-                j[m - lo] = 2 * m * inv_z * j[m - lo + 1] - j[m - lo + 2]
-        if flat.any():
-            j[:-1, flat] = [bessel_j(m, z[flat]) for m in range(lo - 1, top)]
-        if not np.isfinite(j).all():
-            raise RangeError(f"J_{lo}..J_{top} overflowed or lost significance")
-    jp = np.concatenate(((j[:-2] - j[2:]) / 2, [jp_top]))
+    lo, top = min(orders), max(orders) + 1
+    if len(orders) == 1:
+        return (*_f_top(top, z), lo)
+    f = np.empty((top - lo + 1,) + z.shape, np.result_type(z, float))  # F_lo .. F_top
+    zz = z * z / 4
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        f[-2:] = _f_top(top, z)
+        for o in range(top - 1, lo, -1):
+            f[o - lo - 1] = f[o - lo] - zz / (o * (o + 1)) * f[o - lo + 1]
+    if not np.isfinite(f).all():
+        raise RangeError(f"F_{lo}..F_{top} overflowed or lost significance")
     rows = np.subtract(orders, lo)
-    return j[rows + 1], jp[rows]
+    return f[rows], f[rows + 1], np.reshape(orders, (-1,) + (1,) * z.ndim)
+
+
+def _f_top(t: int, z: np.ndarray):
+    """[F_{t-1}(z), F_t(z)] from one J_t and one J'_t call: F_t = s J_t and, by
+    J_{t-1} = J'_t + (t/z) J_t (DLMF 10.6.2), F_{t-1} = s (z J'_t/(2t) + J_t/2),
+    with s = t!/(z/2)^t taken in log space.  Where |J_t| < 1e-280 (high t at
+    small z, and z = 0) scipy's J_t has lost its digits (it flushes below about
+    1e-289): there both are 10 terms of sum_i (-z^2/4)^i / (i! (o+1)_i)."""
+    z = z if np.iscomplexobj(z) else np.abs(z)  # F_o is even: a real log below
+    j, jp = bessel_j(t, z), bessel_j_prime(t, z)
+    series = np.abs(j) < _J_FLOOR
+    flat = series.any()
+    half = np.where(series, 2, z) / 2 if flat else z / 2  # s stays finite at z = 0
+    s = np.exp(math.lgamma(t + 1) - t * np.log(half))
+    rows = [s * (half * jp / t + j / 2), s * j]
+    if flat:
+        o, term = np.reshape([t - 1, t], (2,) + (1,) * z.ndim), 1
+        for n in range(10, 0, -1):
+            term = 1 - z * z / (4 * n * (o + n)) * term
+        rows = np.where(series, term, rows)
+    return rows
 
 
 def disk_determinant_prime(m: int, k, p: MaterialParams):
-    """Analytic d/dk of det_m(k), from det_m's own J_m, J'_m table (_bessel_table)
-    and Bessel's equation for J''_m (DLMF 10.2.1).  det_m is even in k, so this
-    is 0.0 at k = 0 for every m.
+    """Analytic d/dk of D_m(k) from D_m's own F_m, F_{m+1} rows at k and k s (F,
+    F1 and F_s, F1_s): by F_m' = -z F_{m+1}/(2(m+1)) and Bessel's equation (DLMF
+    10.6.2, 10.2.1), with c = 1/(2(m+1)) and mu = m (1 + lam),
+    D_m' = k [(1 - lam n) F F_s + c n (mu + eta) F F1_s + c (eta - mu) F_s F1
+    + c^2 n k^2 (lam - 1) F1 F1_s].  No division by k: 0.0 at k = 0 (D_m is even).
     """
-    s, lam = p.sqrt_n, p.lam
-    (jm,), (jp,) = _bessel_table((m,), k)
-    (jm_s,), (jp_s,) = _bessel_table((m,), k * s)
-    k_or_1 = np.where(k == 0, 1, k)  # the m^2/k term: J_m(0) = 0 for m >= 1
-    return (k * s * (lam - 1) * jp_s * jp - p.eta * (s * jp_s * jm + jm_s * jp)
-            + (k * (1 - lam * p.n) + (lam - 1) * m * m / k_or_1) * jm_s * jm)
+    f, f1, _ = _f_rows((m,), k)
+    f_s, f1_s, _ = _f_rows((m,), k * p.sqrt_n)
+    c, n, lam, mu = 0.5 / (m + 1), p.n, p.lam, m * (1 + p.lam)
+    return k * ((1 - lam * n) * f * f_s + c * n * (mu + p.eta) * f * f1_s
+                + c * (p.eta - mu) * f_s * f1 + c * c * n * k * k * (lam - 1) * f1 * f1_s)
 
 
 def _bisect(m: int, a: float, b: float, fa: float, p: MaterialParams, tol: float) -> float:
@@ -138,7 +145,7 @@ def _bisect(m: int, a: float, b: float, fa: float, p: MaterialParams, tol: float
         fc = float(disk_determinant(m, c, p))
         if fc == 0.0:
             return c
-        if (fa < 0) != (fc < 0):  # signs, not fa * fc < 0: that underflows at high m
+        if (fa < 0) != (fc < 0):
             b = c
         else:
             a, fa = c, fc
@@ -168,24 +175,23 @@ def real_roots_many(
 ) -> list[list[DiskEigenvalue]]:
     """The real eigenvalues of each point in (k_min, k_max], m = 0..m_max.
 
-    Scans each det_m on a uniform grid of spacing min(0.01, tol * 1e6),
+    Scans each D_m on a uniform grid of spacing min(0.01, tol * 1e6),
     floored at 1e-4, brackets sign changes, and refines by bisection to an
-    interval of width tol.  The grid is cut into pieces of 1024 points, each
-    one task on a pool of ``jobs`` threads: it evaluates every mode for all
-    points at once (see disk_determinant) and keeps the signs.  Then each mode
-    is one task that bisects each point's brackets.  The modes merge in order,
-    so each point's root list equals its one-point scan at any ``jobs``.
-    k_min must be positive: k = 0 is an analytic zero of every det_m with
-    m >= 1 and never an eigenvalue.
+    interval of width tol.  Each piece of 1024 grid points is one task on a
+    pool of ``jobs`` threads that keeps the signs of every mode for all points
+    at once; then each mode is one task that bisects each point's brackets.
+    The modes merge in order, so each point's root list equals its one-point
+    scan at any ``jobs``.
+    k_min must be positive: k = 0 is never an eigenvalue, though D_m(0) =
+    m (lam - 1) - eta vanishes when eta = m (lam - 1).
     """
     k_min, k_max = float(k_range[0]), float(k_range[1])
     if not (0 < k_min < k_max) or not np.isfinite(k_max):
         raise ConfigError(f"k_range must satisfy 0 < k_min < k_max, got {k_range}")
     if tol < 1.0e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
-    if not 0 <= m_max <= MAX_ORDER:
-        raise ConfigError(f"m_max must be in 0..{MAX_ORDER}, the supported Bessel orders, "
-                          f"got {m_max}")
+    if not 0 <= m_max <= MAX_MODE:
+        raise ConfigError(f"m_max must be in 0..{MAX_MODE}, the supported modes, got {m_max}")
     h = min(_SCAN_STEP_CAP, max(tol * 1.0e6, _SCAN_STEP_FLOOR))
     points = list(points)
     if not points:
@@ -208,10 +214,9 @@ def real_roots_many(
             hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             for i in hits:
                 root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(sign[i]), p, tol)
-                residual = abs(complex(disk_determinant(m, root, p)))
+                residual = float(abs(disk_determinant(m, root, p)))
                 out.append(DiskEigenvalue(complex(root), m, mult, residual))
-            # an exact zero is a root only between a sign change; where det_m
-            # underflows (high m, small k) its neighbours are zero too
+            # an exact zero at a scan point is a root only between a sign change
             zeros = np.nonzero(sign[1:-1] == 0)[0] + 1
             for i in zeros[sign[zeros - 1] * sign[zeros + 1] < 0]:
                 out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
@@ -219,10 +224,8 @@ def real_roots_many(
         return found
 
     found = _map(scan, modes, jobs)
-    outs = [[e for mode in found for e in mode[i]] for i in range(len(points))]
-    for out in outs:
-        out.sort(key=lambda e: (e.k.real, e.k.imag, e.mode_m))
-    return outs
+    return [sorted((e for mode in found for e in mode[i]),
+                   key=lambda e: (e.k.real, e.k.imag, e.mode_m)) for i in range(len(points))]
 
 
 def complex_roots(
@@ -235,14 +238,13 @@ def complex_roots(
     region = (re_min, re_max, im_min, im_max) of the right half-plane.
 
     The region, grown by 1e-3 of its size, is split into boxes until the
-    argument principle counts at most 3 zeros of det_m in each, within 1e-3
-    of an integer.  Moments of det_m'/det_m - 2m/k (det_m has a zero of order
-    2m at k = 0) give them as the eigenvalues of a Hankel pencil (Delves and
-    Lyness 1967; Kravanja and Van Barel 2000); up to 8 Newton steps polish
-    each until a step is at most tol.  A singular pencil or a polish that
-    fails or leaves its box splits the box too.  Boxes do not overlap, so each
-    root is found once; one unsettled after 40 splits raises NumericalFailure.
-    Roots within tol of the real axis are reported real.
+    argument principle counts at most 3 zeros of D_m in each, within 1e-3
+    of an integer.  Moments of D_m'/D_m give them as the eigenvalues of a
+    Hankel pencil (Delves and Lyness 1967; Kravanja and Van Barel 2000), and
+    up to 8 Newton steps polish each until a step is at most tol.  A singular
+    pencil or a polish that fails or leaves its box splits the box too.  Boxes
+    do not overlap, so each root is found once; one unsettled after 40 splits
+    raises NumericalFailure.  Roots within tol of the real axis are real.
     """
     re0, re1, im0, im1 = map(float, region)
     if not (re1 > max(re0, _RE_FLOOR) and im1 > im0):
@@ -259,7 +261,7 @@ def complex_roots(
             out += [DiskEigenvalue(k, m, 1 if m == 0 else 2, float(abs(disk_determinant(m, k, p))))
                     for k in found if _inside(k, lo, hi)]
         elif splits == _MAX_SPLITS:
-            raise NumericalFailure(f"det_{m}: box {a}..{b} did not settle in {splits} splits")
+            raise NumericalFailure(f"D_{m}: box {a}..{b} did not settle in {splits} splits")
         else:  # across the longer side, off-centre: a symmetric window is not cut on im k = 0
             w, h = (b - a).real, (b - a).imag
             cut = a + (0.4621 * w if w >= h else 0.4621j * h)
@@ -273,14 +275,14 @@ def _inside(k: complex, a: complex, b: complex) -> bool:
 
 
 def _box_roots(m: int, p: MaterialParams, a: complex, b: complex, tol: float, rule) -> list | None:
-    """The zeros of det_m in the box from corner a to b (rule: edge nodes, weights); None: split."""
+    """The zeros of D_m in the box from corner a to b (rule: edge nodes, weights); None: split."""
     corners = np.array([a, complex(b.real, a.imag), b, complex(a.real, b.imag)])
     half = (0.5 * (np.roll(corners, -1) - corners))[:, None]  # half-edges, counterclockwise
     ks = (corners[:, None] + half + half * rule[0]).ravel()
     f = disk_determinant(m, ks, p)
     if not np.all(np.abs(f) >= np.finfo(float).tiny):  # zero or subnormal: no digits left
         return None
-    g = (disk_determinant_prime(m, ks, p) / f - 2 * m / ks) * (half * rule[1]).ravel()
+    g = disk_determinant_prime(m, ks, p) / f * (half * rule[1]).ravel()
     # s_j = the sum of w^j over the zeros, w = (k - center) / radius
     center, radius = 0.5 * (a + b), 0.5 * abs(b - a)
     s = ((ks - center) / radius) ** np.arange(2 * _MAX_ZEROS)[:, None] @ g / (2j * np.pi)
@@ -314,17 +316,14 @@ def determinant_grid(
     nx: int,
     ny: int,
 ):
-    """|det_m| on an nx x ny lattice over region (re_min, re_max, im_min, im_max).
+    """|D_m| on an nx x ny lattice over region (re_min, re_max, im_min, im_max).
 
-    Returns (re_axis, im_axis, values) with values[i, j] = |det_m| at
+    Returns (re_axis, im_axis, values) with values[i, j] = |D_m| at
     re_axis[i] + 1j*im_axis[j]; the CSV writer emits rows in this (re-major)
     order.
     """
     if nx < 2 or ny < 2:
         raise ConfigError("grid needs nx, ny >= 2")
     re0, re1, im0, im1 = map(float, region)
-    re = np.linspace(re0, re1, nx)
-    im = np.linspace(im0, im1, ny)
-    kk = re[:, None] + 1j * im[None, :]
-    vals = np.abs(np.asarray(disk_determinant(m, kk, p)))
-    return re, im, vals
+    re, im = np.linspace(re0, re1, nx), np.linspace(im0, im1, ny)
+    return re, im, np.abs(disk_determinant(m, re[:, None] + 1j * im[None, :], p))

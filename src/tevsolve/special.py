@@ -18,9 +18,9 @@ Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 z is bitwise constant on each orbit.  Without orbits, z is evaluated as given.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
-four kernels) and order ``|m| <= 60``, which comfortably covers every
-wavenumber the solvers visit (``k <= 10``, ``k*sqrt(n) <= 20``).  Within
-``|z| <= 50`` values are accurate to better than 1e-12 relative.  A value
+four kernels) and order ``|m| <= 170`` (the disk's modes up to 169).  Within
+``|z| <= 50`` values are accurate to better than 1e-12 relative; at order 170
+to 2e-13 for ``|z| <= 26``, wherever ``|J_170| >= 1e-280``.  A value
 that overflows raises ``RangeError``, never a numpy warning.
 """
 
@@ -34,7 +34,7 @@ import scipy.special as _sp
 
 from .errors import RangeError, SingularityError
 
-MAX_ORDER = 60
+MAX_ORDER = 170
 MAX_ABS_Z = 1.0e4
 HANKEL_MIN_ABS_Z = 1.0e-8
 

@@ -1,5 +1,5 @@
 """Experiment harness: spectrum runs, lam -> 1 convergence studies with EOC,
-monotonicity sweeps, and |det_m| grids, with CSV/JSON emission.
+monotonicity sweeps, and |D_m| grids, with CSV/JSON emission.
 
 A StudyConfig bundles the shape, material parameters, solver method and its
 settings; the run_* functions return typed row lists that the writers emit
@@ -34,6 +34,7 @@ from .bie import HelmholtzNep
 from .disk import (
     DEFAULT_K_MIN,
     DEFAULT_M_MAX,
+    MAX_MODE,
     DiskEigenvalue,
     complex_roots,
     determinant_grid,
@@ -44,7 +45,6 @@ from .errors import ConfigError, NumericalError, TevError, TrackingLost
 from .geometry import BoundaryCurve, parse_shape, sample
 from .linalg import _map
 from .materials import REGIME_OUTSIDE, MaterialParams
-from .special import MAX_ORDER
 
 logger = logging.getLogger(__name__)
 
@@ -115,8 +115,9 @@ class StudyConfig:
         if not (re0 < re1 and im0 < im1):
             raise ConfigError(f"grid region {self.grid_region} must be a rectangle "
                               "re0 < re1, im0 < im1")
-        if not 0 <= self.grid_m <= MAX_ORDER:
-            raise ConfigError(f"grid m must be in 0..{MAX_ORDER}, got {self.grid_m}")
+        for name, m in (("determinant m_max", self.determinant.m_max), ("grid m", self.grid_m)):
+            if not 0 <= m <= MAX_MODE:
+                raise ConfigError(f"{name} must be in 0..{MAX_MODE}, got {m}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0 (0: all cores), got {self.jobs}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
@@ -665,7 +666,7 @@ def run_monotonicity_sweep(cfg: StudyConfig) -> SweepResult:
 # determinant grid
 # ---------------------------------------------------------------------------
 def run_contour_grid(cfg: StudyConfig):
-    """|det_m| lattice for contour plotting (determinant method only)."""
+    """|D_m| lattice for contour plotting (determinant method only)."""
     if cfg.method != "determinant":
         raise ConfigError("grid is a determinant-method command")
     nx, ny = cfg.grid_shape

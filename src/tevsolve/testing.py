@@ -200,12 +200,12 @@ def fourier_bessel_root(curve, p, k0: float, order: int, halfwidth: float = 1.0e
 def disk_zero_count(p, center: complex, radius: float, m_max: int) -> dict[int, int]:
     """Zeros of det_m inside the circle |k - center| < radius, per mode m <= m_max.
 
-    Argument principle: det_m is entire, so the winding number of det_m along
-    the circle counts its zeros inside.  Evaluated with scipy's Bessel
-    functions directly, without the solver's order cap; det_m shrinks like
-    (k^2 sqrt(n) / 4)^m / m!^2, so the count raises ValueError once it
-    underflows (around m = 90 for k <= 3, n = 4).  Modes with no zero inside
-    are omitted.
+    Argument principle: det_m is entire, so its winding number along the
+    circle counts its zeros inside.  It is det_m itself, from scipy's Bessel
+    functions called directly: it shares no code with the solver's scaled D_m.
+    det_m shrinks like (k^2 sqrt(n) / 4)^m / m!^2, so the count raises
+    ValueError once it underflows (around m = 90 for k <= 3, n = 4, below the
+    solver's 169).  Modes with no zero inside are omitted.
     """
     samples = 4096  # phase steps stay far below pi for m <= 90
     k = center + radius * np.exp(2j * np.pi * np.arange(samples + 1) / samples)

@@ -1,14 +1,15 @@
 """Unit-disk determinant path: determinant values, real/complex roots, grids,
 and the circle operator symbol."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import jv, jvp
 
 from tevsolve import disk, special
 from tevsolve.disk import (
+    MAX_MODE,
     complex_roots,
     determinant_grid,
     disk_determinant,
@@ -19,7 +20,7 @@ from tevsolve.disk import (
 from tevsolve.cli import main
 from tevsolve.errors import ConfigError, NumericalFailure, PoleError, RangeError
 from tevsolve.materials import MaterialParams
-from tevsolve.special import MAX_ORDER, bessel_j
+from tevsolve.special import bessel_j
 from tevsolve.studies import lambda_at
 from tevsolve.testing import (
     bessel_j_positive_root,
@@ -57,8 +58,12 @@ class TestDeterminant:
             assert disk_determinant(0, 0.0, p) == pytest.approx(-eta, abs=1e-15)
 
     def test_higher_modes_vanish_at_zero(self):
+        # D_m(0) = m (lam - 1) - eta: zero exactly where eta = m (lam - 1)
         for m in (1, 2, 5):
-            assert disk_determinant(m, 0.0, EX34) == 0.0
+            want = m * (EX34.lam - 1) - EX34.eta
+            assert disk_determinant(m, 0.0, EX34) == pytest.approx(want, rel=1e-15)
+        for m, p in ((1, MaterialParams(4.0, 1.0, 2.0)), (4, MaterialParams(9.0, 2.0, 1.5))):
+            assert disk_determinant(m, 0.0, p) == 0.0
 
     def test_published_roots_are_roots(self):
         assert abs(disk_determinant(0, 3.456704, EX34)) <= 1e-5
@@ -87,51 +92,65 @@ class TestDeterminant:
             assert abs(an - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def determinant_prime_reference(m, k, p):
-    """d/dk of det_m term by term, with J''_m from scipy's jvp (no Bessel's equation)."""
-    s = p.sqrt_n
-    jm_s, jm, jp_s, jp = jv(m, k * s), jv(m, k), jvp(m, k * s), jvp(m, k)
-    jpp_s, jpp = jvp(m, k * s, 2), jvp(m, k, 2)
-    # det_m = -A B + C D with A = J_m(ks), B = k J'_m(k) + eta J_m(k),
-    # C = lam k s J'_m(ks), D = J_m(k)
-    a, ap = jm_s, s * jp_s
-    b, bp = k * jp + p.eta * jm, jp + k * jpp + p.eta * jp
-    c, cp = p.lam * k * s * jp_s, p.lam * s * jp_s + p.lam * k * s * s * jpp_s
-    d, dp = jm, jp
-    return -ap * b - a * bp + cp * d + c * dp
+def determinant_prime_reference(m, k, p, radius=0.5, nodes=64):
+    """d/dk of D_m by Cauchy's integral formula on the circle |w - k| = radius,
+    from D_m's values alone: the trapezoidal rule converges geometrically on the
+    circle, since D_m is entire."""
+    w = radius * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
+    return np.mean(disk_determinant(m, np.add.outer(k, w), p) / w, axis=-1)
 
 
 def determinant_term_scale(m, k, p):
-    """The sum of the magnitudes of det_m's three terms at k."""
-    ks = k * p.sqrt_n
-    return (np.abs(jv(m, ks) * k * jvp(m, k)) + np.abs(p.eta * jv(m, ks) * jv(m, k))
-            + np.abs(p.lam * jvp(m, ks) * ks * jv(m, k)))
+    """The sum of the magnitudes of D_m's three terms at k, from one-order tables:
+    D_m = (m (lam - 1) - eta) F F_s + c k^2 F_s F1 - lam n c k^2 F F1_s."""
+    f, f1, _ = disk._f_rows((m,), np.asarray(k))
+    f_s, f1_s, _ = disk._f_rows((m,), k * p.sqrt_n)
+    ck2 = k * k / (2 * m + 2)
+    return (np.abs((m * (p.lam - 1) - p.eta) * f * f_s) + np.abs(ck2 * f_s * f1)
+            + np.abs(p.lam * p.n * ck2 * f * f1_s))
 
 
 class TestDeterminantPrime:
-    def test_matches_second_derivative_reference(self):
+    def test_matches_cauchy_integral_reference(self):
         rng = np.random.default_rng(3)
         k = rng.uniform(0.01, 10.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400)
         for p in SEARCH_MATERIALS:
-            for m in (0, 1, 2, 5, 8, 20, 40, MAX_ORDER):
+            for m in (0, 1, 2, 5, 8, 20, 40, 60, MAX_MODE):
                 want = determinant_prime_reference(m, k, p)
                 got = disk_determinant_prime(m, k, p)
-                normal = np.abs(want) >= np.finfo(float).tiny  # high m, small k: underflow
-                assert np.mean(normal) >= 0.9
-                assert np.all(np.abs(got - want)[normal] <= 1e-10 * np.abs(want[normal])), (m, p)
-                assert np.all(np.abs(got[~normal]) < 1e-300)
+                # at m = 169, n = 9 and k s near 20, D_m' cancels among its
+                # terms and keeps 2.1e-10 of its value
+                tol = 1e-10 if m <= 60 else 1e-9
+                assert np.all(np.abs(got - want) <= tol * np.abs(want)), (m, p)
 
     def test_zero_at_origin_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for p in SEARCH_MATERIALS:
-                for m in (0, 1, 5, MAX_ORDER):
+                for m in (0, 1, 5, 60, MAX_MODE):
                     assert disk_determinant_prime(m, 0.0, p) == 0.0
                     for k in (np.zeros(3), np.array([0.0, 0.5j, 2.0])):
                         got = disk_determinant_prime(m, k, p)
-                        assert got[0] == 0.0
-                        assert np.allclose(got, determinant_prime_reference(m, k, p),
-                                           rtol=1e-10, atol=0.0)
+                        assert np.all(got[k == 0] == 0.0)  # the reference has rounding there
+                        want = determinant_prime_reference(m, k[k != 0], p)
+                        assert np.allclose(got[k != 0], want, rtol=1e-10, atol=0.0)
+
+
+def scaled_root_mp(p, m, k, width=1e-9):
+    """The root of det_m / [(k/2)^m (k sqrt(n)/2)^m] in [k - width, k + width],
+    bracketed, with mpmath's Bessel functions at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s, eta, lam = mp.sqrt(p.n), mp.mpf(p.eta), mp.mpf(p.lam)
+
+        def scaled(k):
+            j_w, j_v = mp.besselj(m, k * s), mp.besselj(m, k)
+            dj_w, dj_v = mp.besselj(m, k * s, 1), mp.besselj(m, k, 1)
+            det = -j_w * (k * dj_v + eta * j_v) + lam * dj_w * k * s * j_v
+            return det / ((k / 2) ** m * (k * s / 2) ** m)
+
+        k = mp.mpf(k)
+        return float(mp.findroot(scaled, (k - width, k + width), solver="anderson"))
 
 
 class TestRealRoots:
@@ -195,6 +214,25 @@ class TestRealRoots:
             m, k = disk_root_mp(p, e.k.real, 60)
             assert m == e.mode_m and abs(e.k.real - k) <= 1e-9
 
+    def test_residual_certifies_localised_root(self):
+        # |D_59| is 1.7e-8 at 1e-6 from the mode-59 root; |det_59| is 2.3e-245
+        # at it and 2.0e-241 at 1e-6 away, which certifies nothing
+        p = MaterialParams(4.0, 1.0, 1.0 + 1.02 / 60)
+        (e,) = [e for e in real_roots(p, 60, (0.2, 3.0)) if e.mode_m == 59]
+        assert e.k.real == pytest.approx(0.34254, abs=1e-5)
+        assert e.residual <= 1e-12
+        assert abs(disk_determinant(59, e.k.real + 1e-6, p)) >= 1e-9
+
+    def test_localised_modes_beyond_60_match_mpmath(self):
+        # (lam - 1) m ~ eta: boundary-localised modes fill k in (2, 3), the
+        # lambda -> 1+ windows at p = 6 and 7 (lam = 1 + 2^-p)
+        for p, m_max, modes in ((6, 80, range(70, 76)), (7, 160, range(134, 141))):
+            material = MaterialParams(4.0, 1.0, 1.0 + 2.0 ** -p)
+            eigs = real_roots(material, m_max, (2.0, 3.0), tol=1e-12)
+            assert sorted(e.mode_m for e in eigs) == [1, *modes]
+            for e in eigs:
+                assert abs(e.k.real - scaled_root_mp(material, e.mode_m, e.k.real)) <= 1e-12
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
             real_roots(EX34, k_range=(0.0, 1.0))
@@ -254,11 +292,11 @@ class TestSharedScan:
 
     def test_order_rows_equal_one_order_values(self):
         # the multi-order table comes from the downward recurrence, the one-order
-        # one from scipy: equal within 1e-12 of the sum of |det_m|'s terms
+        # one from scipy: equal within 1e-12 of the sum of |D_m|'s terms
         points = [EX34, MaterialParams(3.0, 1.0, 0.5), MaterialParams(4.0, 1.0, 0.5)]
         grid = np.linspace(0.01, 10.0, 1001)
         for k in (grid, (1.0 + 0.3j) * grid, 2.5 + 0.3j):
-            for m_max in (0, 1, 8, 60):
+            for m_max in (0, 1, 8, 60, MAX_MODE):
                 rows = disk_determinant(range(m_max + 1), k, points)
                 assert rows.shape == (m_max + 1, len(points)) + np.shape(k)
                 for m, row in enumerate(rows):
@@ -286,64 +324,66 @@ class TestSharedScan:
         for name in calls:  # disk imports no bessel_j_second: a call would land here
             monkeypatch.setattr(disk, name, counted(name), raising=False)
         disk_determinant(range(9), np.linspace(0.01, 10.0, 1001), points)
-        # at k and at k sqrt(n) for the 2 distinct n, the top order only: the
-        # recurrence gives the orders below it
+        # at k and at k sqrt(n) for the 2 distinct n, the top order m_max + 1
+        # only: the recurrence gives the orders below it
         for name in ("bessel_j", "bessel_j_prime"):
-            assert [m for m, _ in calls[name]] == [8] * 3
-        # det_m': J_m and J'_m once each at k and at k sqrt(n), and no J''_m
+            assert [m for m, _ in calls[name]] == [9] * 3
+        # D_m': J_{m+1} and J'_{m+1} once each at k and at k sqrt(n), and no J''
         for name in calls:
             calls[name].clear()
         k = np.linspace(0.01, 10.0, 101) + 0.2j
         disk_determinant_prime(5, k, EX34)
         for name in ("bessel_j", "bessel_j_prime"):
-            assert [m for m, _ in calls[name]] == [5, 5]
+            assert [m for m, _ in calls[name]] == [6, 6]
             assert sorted(tuple(z[:2]) for _, z in calls[name]) == sorted(
                 (tuple(k[:2]), tuple(k[:2] * EX34.sqrt_n)))
         assert calls["bessel_j_second"] == []
 
     def test_table_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        # scipy flushes J_60 to 0 at 5.47e-4, but not J'_60; J_61 at 6.64e-4, which
-        # costs J'_60 1.5e-11 of its value: both take the fallback.  At 1e-3
-        # J_60 = 1.04e-280, and the recurrence runs.
+        # F_o = J_o o!/(z/2)^o against mpmath's 0F1(; o+1; -z^2/4) (DLMF 10.16.9),
+        # within 1e-12 of max(|J_o|, |J_{o+1}|) o!/|z/2|^o.  Tops 61 and 170: below
+        # |J_top| = 1e-280 (scipy flushes J below about 1e-289, J_61 at 6.64e-4)
+        # the top two rows come from their power series, elsewhere from scipy.
         small = np.array([0.0, 1e-4, 3.2e-4, 5.47e-4, 6.64e-4, 1e-3])
         grids = (np.linspace(0.0, 25.0, 101)[1:], (1.0 + 0.3j) * np.linspace(0.0, 10.0, 51)[1:],
                  small, (1.0 + 0.3j) * small)
-        flushed = 0
-        for z in grids:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                jm, jp = disk._bessel_table(range(MAX_ORDER + 1), z)
-            fallback = np.abs(bessel_j(MAX_ORDER, z)) < 1e-280
-            for m in range(MAX_ORDER + 1):
-                # the fallback entries are scipy's own per-order values
-                assert np.array_equal(jm[m, fallback], bessel_j(m, z[fallback]))
+        for top, want_series in ((61, 12), (MAX_MODE + 1, 36)):
+            series = 0
+            for z in grids:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows, above, _ = disk._f_rows(range(top), z)
+                f = np.concatenate([rows, above[-1:]])  # F_0 .. F_top
+                series += np.sum(np.abs(bessel_j(top, z)) < 1e-280)
                 for i, x in enumerate(z.tolist()):
                     x = mpmath.mpc(x) if isinstance(x, complex) else mpmath.mpf(x)
                     with mpmath.workdps(40):
-                        want, want_p = mpmath.besselj(m, x), mpmath.besselj(m, x, derivative=1)
-                    # scipy returns 0 for magnitudes below about 1e-289
-                    tol = 1e-12 * max(abs(want), abs(want_p)) + 1e-288
-                    assert abs(jm[m, i] - want) <= tol and abs(jp[m, i] - want_p) <= tol, (m, x)
-            flushed += fallback.sum()
-        assert flushed == 10  # all but 1e-3, real and complex
+                        want = [complex(mpmath.hyp0f1(m + 1, -x * x / 4)) for m in range(top + 2)]
+                    for m in range(top + 1):
+                        amplitude = max(abs(want[m]), abs(x) * abs(want[m + 1]) / (2 * m + 2))
+                        assert abs(f[m, i] - want[m]) <= 1e-12 * amplitude, (top, m, x)
+            # the series serve z = 0 and 1e-4 .. 1e-3 (and more at top = 170),
+            # real and complex
+            assert series == want_series
 
     def test_table_overflow_raises_range_error(self, monkeypatch):
-        # scipy raises before any real table overflows: force one through J'_M
+        # scipy raises before any real table overflows: force one through J'_T
         monkeypatch.setattr(disk, "bessel_j_prime", lambda m, z: np.full(np.shape(z), 1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RangeError, match="J_0..J_8"):
-                disk._bessel_table(range(9), np.array([0.5, 2.0]))
+            with pytest.raises(RangeError, match="F_0..F_9"):
+                disk._f_rows(range(9), np.array([0.5, 2.0]))
 
     def test_determinant_at_origin_without_warning(self):
+        # D_m(0) = m (lam - 1) - eta, from the series F_o(0) = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = disk_determinant(range(9), [0.0, 1.0], EX34)
+            f, f1, _ = disk._f_rows(range(9), 0.0)
         assert rows[0, 0] == -EX34.eta
-        assert np.all(rows[1:, 0] == 0.0)
-        jm, jp = disk._bessel_table(range(9), 0.0)
-        assert np.array_equal(jm, np.eye(9)[0]) and np.array_equal(jp, np.eye(9)[1] / 2)
+        assert rows[1:, 0] == pytest.approx(np.arange(1, 9) * (EX34.lam - 1) - EX34.eta, rel=1e-15)
+        assert np.array_equal(f, np.ones(9)) and np.array_equal(f1, np.ones(9))
 
     def test_n_sweep_roots_do_not_depend_on_jobs(self):
         # the two n sweeps of the disk-n-sweep benchmark: 9 points, 9 distinct n
@@ -366,8 +406,8 @@ class TestSharedScan:
 
         monkeypatch.setattr(disk, "bessel_j", no_bessel)
         monkeypatch.setattr(disk, "bessel_j_prime", no_bessel)
-        with pytest.raises(ConfigError, match=f"0..{MAX_ORDER}"):
-            real_roots(EX34, m_max=MAX_ORDER + 1, k_range=(1.0, 10.0))
+        with pytest.raises(ConfigError, match=f"0..{MAX_MODE}"):
+            real_roots(EX34, m_max=MAX_MODE + 1, k_range=(1.0, 10.0))
         with pytest.raises(ConfigError):
             real_roots(EX34, m_max=-1, k_range=(1.0, 10.0))
 
@@ -427,6 +467,21 @@ class TestComplexRoots:
                 counts = {m: inside.count(m) for m in set(inside)}
                 assert counts == disk_zero_count(p, center, radius, 8), (p, center)
 
+    def test_every_mode_up_to_60(self):
+        # det_m underflowed at the region's left edge from m = 56, and those
+        # boxes never settled; D_m(0) = m + 0.01 here
+        roots = [e for m in range(61) for e in complex_roots(m, EX34, (0.0, 10.0, -1.0, 1.0))]
+        assert len(roots) == 74 and max(e.mode_m for e in roots) == 21
+        assert all(e.residual <= 1e-12 for e in roots)
+
+    def test_zero_at_origin_is_not_reported(self):
+        # D_1(0) = (lam - 1) - eta = 0: a double zero at k = 0, left of re k = 1e-6
+        p = MaterialParams(4.0, 1.0, 2.0)
+        assert disk_determinant(1, 0.0, p) == 0.0
+        got = complex_roots(1, p, (0.0, 3.0, -1.0, 1.0))
+        assert [e.k for e in got] == [pytest.approx(2.709197, abs=1e-6)]
+        assert got[0].k.imag == 0.0
+
     def test_rejects_bad_regions(self):
         for region in ((1.0, 1.0, -1.0, 1.0), (0.0, 1.0, 1.0, -1.0), (-2.0, -1.0, -1.0, 1.0),
                        (-1.0, 1.0e-7, -1.0, 1.0)):
@@ -467,7 +522,8 @@ class TestCircleModeSymbol:
         assert val == pytest.approx(-EX34.eta, abs=1e-6)
 
     def test_ratio_identity_with_determinant(self):
-        # symbol equals det_m / (J_m(k sqrt n) J_m(k)) wherever defined
+        # symbol equals det_m / (J_m(k sqrt n) J_m(k)) wherever defined, with
+        # det_m = D_m (k/2)^m (k sqrt(n)/2)^m / m!^2
         rng = np.random.default_rng(21)
         checked = 0
         while checked < 50:
@@ -477,7 +533,8 @@ class TestCircleModeSymbol:
             if abs(denom) < 1e-3:
                 continue
             lhs = circle_mode_symbol(m, k, EX34)
-            rhs = disk_determinant(m, k, EX34) / denom
+            scale = (k / 2) ** m * (k * EX34.sqrt_n / 2) ** m / math.factorial(m) ** 2
+            rhs = disk_determinant(m, k, EX34) * scale / denom
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             checked += 1
 

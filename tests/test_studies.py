@@ -686,19 +686,24 @@ class TestCli:
 
     def test_m_max_above_bessel_cap_exit_code(self):
         proc = self.run_cli(
-            "spectrum", "--n", "4", "--eta", "1", "--lam", "0.5", "--m-max", "61",
+            "spectrum", "--n", "4", "--eta", "1", "--lam", "0.5", "--m-max", "170",
             "--k-range", "1,10",
         )
         assert proc.returncode == 2, proc.stderr
-        assert "m_max must be in 0..60" in proc.stderr
+        assert "m_max must be in 0..169" in proc.stderr
+
+    def test_complex_search_to_mode_60_exit_code(self):
+        proc = self.run_cli("spectrum", "--n", "4", "--eta", "-0.01", "--lambda", "2",
+                            "--m-max", "60", "--k-range", "1,2", "--complex-region", "0,10,-1,1")
+        assert proc.returncode == 0, proc.stderr
 
     def test_grid_mode_outside_bessel_orders_exit_code(self, capsys):
         grid = ["grid", "--n", "4", "--eta", "-0.01", "--lambda", "2", "--region", "1,2,-0.1,0.1",
                 "--nx", "3", "--ny", "2", "--quiet"]
-        for m in ("-1", "61"):
+        for m in ("-1", "170"):
             assert main([*grid, "--m", m]) == 2
-            assert f"grid m must be in 0..60, got {m}" in capsys.readouterr().err
-        assert main([*grid, "--m", "60"]) == 0
+            assert f"grid m must be in 0..169, got {m}" in capsys.readouterr().err
+        assert main([*grid, "--m", "169"]) == 0
 
     # a small determinant run: the one real root 3.4567 of mode 0 in [3, 4]
     DISK = ("--m-max", "0", "--k-range", "3,4", "-q")
