@@ -22,8 +22,11 @@ multiply-add per kernel pair, with A_S, A_K, B_K as that property states:
     S_k = J_0(k r) * A_S + H1_0(k r) * (i h/4) |x'(tau)|,  h = 2 pi/N,
     K^T_k = k [J_1(k r) * A_K + H1_1(k r) * B_K].
 
-Each kernel is evaluated once per symmetry orbit of the node distances
-(CurveSample.orbits).
+Each kernel call hands ``special`` the sample's kernel table
+(CurveSample.kernel_table): the kernels at the symmetry orbits of the node
+distances come from one Chebyshev fit of 41 Amos points per call, or, for
+small N and past the fit's reach (|k| diam above about 35), from one Amos
+evaluation per orbit.
 
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
 for the two media:
@@ -39,7 +42,6 @@ invertible); an LU pivot failure there raises InteriorResonance.
 from __future__ import annotations
 
 import copy
-from functools import cache
 
 import numpy as np
 
@@ -64,7 +66,7 @@ def _check_wavenumber(k: complex) -> complex:
 def _tables(s: CurveSample):
     if s.n < MIN_NODES:
         raise ConfigError(f"boundary assembly needs at least {MIN_NODES} nodes, got {s.n}")
-    return s.nystrom, s.orbits
+    return s.nystrom, s.kernel_table
 
 
 def _kernel_pair(m: int, z: np.ndarray, orbits, a: np.ndarray, b) -> np.ndarray:
@@ -138,18 +140,16 @@ class HelmholtzNep:
     Memoizes the trace-ratio matrices P(k) per wavenumber (the dominant cost:
     two assemblies plus an LU), so the points of a study that revisit the same
     contour nodes with different (lam, eta), or a node whose k sqrt(n) is
-    another node's k, reuse them.  The memo is a thread-safe functools.cache
-    shared by the copies that with_params makes.  It has no bound of its own
-    and lives as long as the family: the studies make one family per contour,
-    so one contour's work bounds it, and each ratio is freed with its contour.
+    another node's k, reuse them.  The memo is a dict shared by the copies that
+    with_params makes.  Only retain drops ratios, and the studies make one
+    family per contour, so each ratio is freed with its contour at the latest.
     """
 
     def __init__(self, sample: CurveSample, params: MaterialParams):
         self.sample = sample
         self.params = params
         _tables(sample)  # built now, before a pool's threads share the sample
-        # _trace_ratio is looked up per call, so a patched one takes effect
-        self._cache = cache(lambda k: _trace_ratio(sample, k))
+        self._ratios = {}
 
     @property
     def dim(self) -> int:
@@ -161,16 +161,32 @@ class HelmholtzNep:
         other.params = params
         return other
 
+    def _ratio(self, k: complex) -> np.ndarray:
+        # _trace_ratio is looked up per call, so a patched one takes effect; two
+        # threads may build one ratio, as with functools.cache, so prefetch dedups
+        ratio = self._ratios.get(k)
+        if ratio is None:
+            ratio = self._ratios[k] = _trace_ratio(self.sample, k)
+        return ratio
+
+    def _wavenumbers(self, zs) -> dict:
+        """The wavenumbers of the trace ratios of M(z), z in zs, each once."""
+        return dict.fromkeys(k for z in map(_check_wavenumber, zs)
+                             for k in (z * self.params.sqrt_n, z))
+
     def __call__(self, z: complex) -> np.ndarray:
         z = _check_wavenumber(z)
         p = self.params
-        M = p.lam * self._cache(z * p.sqrt_n) - self._cache(z)
+        M = p.lam * self._ratio(z * p.sqrt_n) - self._ratio(z)
         M.flat[::self.dim + 1] -= p.eta
         return M
 
     def prefetch(self, zs, jobs: int) -> None:
         """Build the trace ratios of M(z) at every z in zs on a pool of ``jobs``
         threads, each wavenumber once."""
-        ks = list(dict.fromkeys(k for z in map(_check_wavenumber, zs)
-                                for k in (z * self.params.sqrt_n, z)))
-        _map(self._cache, ks, jobs)
+        _map(self._ratio, list(self._wavenumbers(zs)), jobs)
+
+    def retain(self, zs) -> None:
+        """Drop from the shared memo every trace ratio that M(z), z in zs, does not use."""
+        for k in self._ratios.keys() - self._wavenumbers(zs).keys():
+            del self._ratios[k]

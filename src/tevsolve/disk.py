@@ -216,8 +216,12 @@ def real_roots_many(
                 root = _bisect(m, float(ks[i]), float(ks[i + 1]), float(sign[i]), p, tol)
                 residual = float(abs(disk_determinant(m, root, p)))
                 out.append(DiskEigenvalue(complex(root), m, mult, residual))
-            # an exact zero at a scan point is a root only between a sign change
+            # an exact zero at a scan point is a root only between a sign change;
+            # two in a row are D_m underflowing, which would hide its roots
             zeros = np.nonzero(sign[1:-1] == 0)[0] + 1
+            runs = zeros[:-1][np.diff(zeros) == 1]
+            if runs.size:
+                raise RangeError(f"D_{m} underflows to 0 at k = {ks[runs[0]]:g} for {p}")
             for i in zeros[sign[zeros - 1] * sign[zeros + 1] < 0]:
                 out.append(DiskEigenvalue(complex(ks[i]), m, mult, 0.0))
             found.append(out)

@@ -10,7 +10,7 @@ positive orientation on construction.
 
 A :class:`CurveSample` owns what the Nystrom assembly of :mod:`bie` needs
 that does not depend on the wavenumber: the node distances, their symmetry
-orbits, and the log-split quadrature tables.
+orbits, the log-split quadrature tables, and the kernel table of :mod:`special`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GeometryError
+from .special import FIT_DEGREE
 
 _PROBE_N = 1024
 _MIN_SPEED = 1.0e-9
@@ -188,9 +189,9 @@ class CurveSample:
     Normals are outward unit vectors; curvature is the signed curvature,
     positive for a counterclockwise circle.  The nodes are mirror-exact: those
     of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states.
-    ``chords``, ``orbits`` and ``nystrom`` are read-only, built once on first
-    use (before threads share the sample, or two may build them).  The sample
-    is immutable and thread-safe; samples compare by identity.
+    ``chords``, ``orbits``, ``nystrom`` and ``kernel_table`` are read-only, built
+    once on first use (before threads share the sample, or two may build them).
+    The sample is immutable and thread-safe; samples compare by identity.
     """
 
     n: int
@@ -232,6 +233,16 @@ class CurveSample:
         for table in tables:
             table.flags.writeable = False
         return tables
+
+    @cached_property
+    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """The orbits, the position far in reps of the largest radius rho_max of r + I,
+        and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE (2.4 MB at N = 240)."""
+        rho = np.take(self.nystrom[0], self.orbits[0])
+        far = int(np.argmax(rho))
+        basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[far]) ** 2 - 1.0, FIT_DEGREE)
+        basis.flags.writeable = False
+        return *self.orbits, far, basis
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:

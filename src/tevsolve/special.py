@@ -15,7 +15,17 @@ Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 (``CurveSample.orbits`` for the node distances of an assembly): given
 ``orbits=(reps, inverse)``, they evaluate the kernel once per orbit, at
 ``z.flat[reps]``, and spread the values by ``inverse``; the caller vouches that
-z is bitwise constant on each orbit.  Without orbits, z is evaluated as given.
+z is bitwise constant on each orbit.  Given a kernel table (reps, inverse, far,
+basis) for m = 0, 1 (``CurveSample.kernel_table``), the caller also vouches
+that the representatives lie on the ray through z_max = z.flat[reps[far]], at
+the fractions rho/rho_max of the basis T_j(2 (rho/rho_max)^2 - 1).  The entire
+A_m, B_m of J_m = z^m A_m, Y_m = (2/pi) ln(z/2) J_m - [m = 1] 2/(pi z) + z^m B_m
+(DLMF 10.8) are then fitted in x = (z/z_max)^2 from Amos at 41 points of
+[0, z_max], to 5e-15 of the kernel's largest value for |z_max| <= 15.  The
+direct fold is used instead for fewer than 205 representatives, where it is
+cheaper, and where the fit's tail and rounding exceed 1e-14: from |z_max| of
+about 35, or im(z_max) of about 2.5 for H1_1.  Without orbits, z is evaluated
+as given.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
 four kernels) and order ``|m| <= 170`` (the disk's modes up to 169).  Within
@@ -37,6 +47,14 @@ from .errors import RangeError, SingularityError
 MAX_ORDER = 170
 MAX_ABS_Z = 1.0e4
 HANKEL_MIN_ABS_Z = 1.0e-8
+FIT_DEGREE = 40
+_FIT_RTOL = 1.0e-14
+# the fit's points x_l = (1 + cos t_l)/2, t_l = pi (2l + 1)/(2D + 2), lie at cos(t_l/2) z_max;
+# _FIT maps values there to coefficients by cos(j t_l), j (2l + 1) reduced mod 4D + 4 first
+_L = np.arange(FIT_DEGREE + 1)
+_FIT_FRACTIONS = np.cos(np.pi * (2 * _L + 1) / (4 * FIT_DEGREE + 4))
+_FIT = np.cos(np.pi / (2 * FIT_DEGREE + 2) * (np.outer(_L, 2 * _L + 1) % (4 * FIT_DEGREE + 4)))
+_FIT *= np.where(_L == 0, 1.0, 2.0)[:, None] / (FIT_DEGREE + 1)
 
 
 def _check_argument(z):
@@ -52,19 +70,64 @@ def _finite_or_raise(value, what: str):
     return value
 
 
+def _fitted(m: int, z: np.ndarray, table, kernel):
+    """kernel(m, z), J_m or H1_m, at the representatives z by the Chebyshev fit of
+    A_m and B_m (module docstring); None where the fit's last two coefficients and
+    its rounding, in units of z^m times the kernel, exceed _FIT_RTOL of its largest."""
+    hankel, (far, basis) = kernel.__name__ == "hankel1", table[2:]
+    z = _hankel_argument(m, z) if hankel else _check_argument(z)
+    nodes, c, log = z[far] * _FIT_FRACTIONS, 2.0 / math.pi, 0.0
+    zs = ns = 1.0
+    if m:  # s = z / (1 + |z|^2/4) keeps J_1 / s and z B_1 / s one size on [0, z_max],
+        # and entire in x, as |z|^2 = |z_max|^2 x on the ray
+        zs, ns = (v / (1.0 + 0.25 * np.abs(v) ** 2) for v in (z, nodes))
+    j = _bessel_j(m, nodes, 0)
+    values, at_nodes = [j], kernel(m, nodes) if hankel else j
+    if hankel:  # z^m B_m from Y_m = -i (H1_m - J_m), or by its series where that cancels
+        log = c * np.log(nodes / 2.0)
+        zb = -1j * (at_nodes - j) - log * j + m * c / nodes
+        values.append(np.where(np.abs(nodes) <= 2.0, nodes**m * _b_series(m, nodes), zb))
+    values = np.column_stack(values) / np.reshape(ns, (-1, 1))
+    coef = _FIT @ values.view(float)  # real and imaginary parts apart
+    mag = np.abs(coef.view(values.dtype))
+    error = np.abs(nodes**m * ns * (1.0 + 1j * log)).max() * np.sum(
+        mag[-2:].max(axis=0) + 1.1e-16 * mag.sum(axis=0))
+    if not error <= _FIT_RTOL * np.abs(nodes**m * at_nodes).max():
+        return None
+    a, *b = (basis @ coef).view(values.dtype).T
+    out = zs * a
+    if hankel:
+        out = out + 1j * (c * np.log(z / 2.0) * out - m * c / z + zs * b[0])
+    return _finite_or_raise(out, f"{kernel.__name__}_{m}")
+
+
+def _b_series(m: int, z):
+    """B_m(z) = -(1/(2^m pi)) sum_k (psi(k+1) + psi(k+m+1)) (-z^2/4)^k / (k! (k+m)!)
+    (DLMF 10.8.1), m = 0, 1, to rounding for |z| <= 2."""
+    term, total, psi = 1.0, 0.0, m - 2.0 * np.euler_gamma  # psi(1) + psi(m + 1)
+    for k in range(1, 20):
+        total, term = total + psi * term, term * (-0.25 * z * z) / (k * (k + m))
+        psi += 1.0 / k + 1.0 / (k + m)
+    return total / (-math.pi * 2**m)
+
+
 def _on_orbits(kernel):
-    """kernel(m, z), or with orbits = (reps, inverse), kernel(m, z.flat[reps])
-    spread over z's shape by inverse; the values are bitwise those of kernel."""
+    """kernel(m, z), or with orbits, kernel(m, z.flat[reps]) spread over z's
+    shape by inverse: bitwise from (reps, inverse), by :func:`_fitted` from a
+    kernel table where the fit holds."""
     @wraps(kernel)
     def folded(m, z, orbits=None):
         if orbits is None:
             return kernel(m, z)
-        reps, inverse = orbits
         z = np.asarray(z)
-        values = kernel(m, np.take(z, reps))
+        values, fit = np.take(z, orbits[0]), None
+        # the fit's fixed cost is that of Amos on ~200 representatives
+        if len(orbits) == 4 and m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
+            fit = _fitted(m, values, orbits, kernel)
+        values = kernel(m, values) if fit is None else fit
         # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
         # an out of z's shape rejects orbits that do not fit z
-        return np.take(values, inverse, out=np.empty(z.shape, values.dtype))
+        return np.take(values, orbits[1], out=np.empty(z.shape, values.dtype))
     return folded
 
 
@@ -105,14 +168,8 @@ def bessel_j_second(m: int, z):
     return _bessel_j(m, z, 2)
 
 
-@_on_orbits
-def hankel1(m: int, z):
-    """Hankel function of the first kind H^(1)_m(z) for m in {0, 1}.
-
-    Requires ``re(z) > 0`` (away from the branch cut) and ``|z| >= 1e-8``;
-    closer to the origin the logarithmic singularity must be handled by the
-    caller's kernel splitting.  ``orbits`` as for :func:`bessel_j`.
-    """
+def _hankel_argument(m: int, z):
+    """z, checked for H1_m: m in {0, 1}, re(z) > 0 and 1e-8 <= |z| <= 1e4."""
     if m not in (0, 1):
         raise RangeError(f"hankel1 supports orders 0 and 1 only, got {m}")
     z = _check_argument(z)
@@ -122,8 +179,19 @@ def hankel1(m: int, z):
         )
     if np.any(np.real(z) <= 0):
         raise RangeError("hankel1 requires re(z) > 0")
+    return z
+
+
+@_on_orbits
+def hankel1(m: int, z):
+    """Hankel function of the first kind H^(1)_m(z) for m in {0, 1}.
+
+    Requires ``re(z) > 0`` (away from the branch cut) and ``|z| >= 1e-8``;
+    closer to the origin the logarithmic singularity must be handled by the
+    caller's kernel splitting.  ``orbits`` as for :func:`bessel_j`.
+    """
     # H1_m(z) = (2/(pi i)) e^{-i m pi/2} K_m(-iz), the factor in Amos's real arithmetic
-    k = _sp.kv(m, -1j * z)
+    k = _sp.kv(m, -1j * _hankel_argument(m, z))
     rhpi = -2.0 / math.pi
     cr, ci = -rhpi * math.sin(-m * math.pi / 2), rhpi * math.cos(-m * math.pi / 2)
     return _finite_or_raise(k.real * cr - k.imag * ci + 1j * (k.real * ci + k.imag * cr),

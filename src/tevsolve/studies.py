@@ -432,12 +432,15 @@ def _bie_eigenvalues(cfg: StudyConfig, points: list[MaterialParams],
 def _solve_contour(cfg: StudyConfig, family: HelmholtzNep, contour: ContourSpec,
                    points: list[MaterialParams]) -> list:
     """beyn_solve on contour for each point's copy of family, or the TevError it
-    raised.  The caller passes a new family, so its memo goes when this returns."""
+    raised.  The caller passes a new family, so its memo goes when this returns;
+    after each point it keeps only the ratios at the contour's nodes, the only
+    ones a later point reuses."""
     out = []
     for params in points:
+        nep = family.with_params(params)
         try:
-            out.append(beyn_solve(family.with_params(params), contour, cfg.bie.beyn,
-                                  jobs=cfg.effective_jobs))
+            out.append(beyn_solve(nep, contour, cfg.bie.beyn, jobs=cfg.effective_jobs))
+            nep.retain(contour.nodes())
         except TevError as exc:
             out.append(exc)
     return out

@@ -8,7 +8,8 @@ from tevsolve import bie, special
 @pytest.fixture
 def amos_points(monkeypatch):
     """The argument sizes of every Amos K_m and J_m call that :mod:`special`
-    makes, in order."""
+    makes, in order: the fit nodes of a kernel table (special.FIT_DEGREE + 1
+    per call) as well as direct evaluations."""
     points = []
     for name in ("kv", "jv"):
         amos = getattr(sp, name)

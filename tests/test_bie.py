@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sp
 
 from tevsolve import bie, linalg, special
+from tevsolve.beyn import ContourSpec
 from tevsolve.bie import (
     HelmholtzNep,
     assemble_adjoint_double_layer,
@@ -118,7 +119,8 @@ class TestQuadratureData:
         assert np.array_equal(assemble_single_layer(s, 1.5 + 0.1j), copies[0])
         # built once per sample
         assert s.chords is s.chords and s.orbits is s.orbits and s.nystrom is s.nystrom
-        for cached in (*s.chords, *s.orbits, *s.nystrom):
+        assert s.kernel_table is s.kernel_table
+        for cached in (*s.chords, *s.orbits, *s.nystrom, s.kernel_table[3]):
             assert not cached.flags.writeable
 
 
@@ -166,18 +168,19 @@ class TestSymmetricKernels:
 
     @pytest.mark.parametrize("shape, n", INPUTS)
     def test_fold_leaves_operators_bitwise_equal(self, shape, n, monkeypatch):
-        # the operators assembled with sample.orbits equal those with orbits=None
+        # the operators assembled with the plain orbits (reps, inverse) equal
+        # those with orbits=None; the kernel table's fit is held to the log
+        # split's bounds by test_fused_assembly_matches_the_log_split
         s = self._sample(shape, n)
 
-        def operators():
+        def operators(fold):
+            monkeypatch.setattr(bie, "hankel1", lambda m, z, orbits: special.hankel1(m, z, fold))
+            monkeypatch.setattr(bie, "bessel_j", lambda m, z, orbits: special.bessel_j(m, z, fold))
             nep = HelmholtzNep(s, EX34)
             return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k), nep(k))
                     for k in self.KS]
 
-        folded = operators()
-        monkeypatch.setattr(bie, "hankel1", lambda m, z, orbits: special.hankel1(m, z))
-        monkeypatch.setattr(bie, "bessel_j", lambda m, z, orbits: special.bessel_j(m, z))
-        for with_fold, without in zip(folded, operators()):
+        for with_fold, without in zip(operators(s.orbits), operators(None)):
             for a, b in zip(with_fold, without):
                 assert np.array_equal(a, b)
 
@@ -193,15 +196,52 @@ class TestSymmetricKernels:
             got = bie._trace_ratio(s, k)
             assert np.max(np.abs(got - P)) <= 1e-13 * np.max(np.abs(P))
 
-    def test_one_amos_call_per_kernel_on_the_orbit_representatives(self, amos_points):
-        # a caller that dropped the orbits would evaluate all n^2 points instead
+    @pytest.mark.parametrize("shape, n", INPUTS)
+    def test_table_kernels_match_amos(self, shape, n, amos_points):
+        # the fit, not its fallback (fit nodes only), within 1e-14 of each
+        # kernel's largest value, from near k = 0 to |k| diam ~ 15
+        s = self._sample(shape, n)
+        z0 = s.nystrom[0]
+        for k in (0.06 + 0.04j, 0.6 + 0.4j, 1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 6.0 - 0.5j):
+            for kernel in (special.bessel_j, special.hankel1):
+                for m in (0, 1):
+                    want = kernel(m, k * z0, orbits=s.orbits)
+                    amos_points.clear()
+                    got = kernel(m, k * z0, orbits=s.kernel_table)
+                    assert set(amos_points) == {special.FIT_DEGREE + 1}
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_beyond_the_fit_the_fold_is_direct(self, amos_points):
+        # |z_max| = 48, past the fit's degree, and im(z_max) = 7.2, where J_m
+        # and Y_m dwarf H1_m = J_m + i Y_m: the fit is tried, then Amos runs on
+        # the orbit representatives, bitwise as with the plain orbits; the 145
+        # representatives of the circle at N = 32 skip the fit
+        large = self._sample("ellipse:a=1,b=1.2", 240)
+        small = self._sample("circle:r=1", 32)
+        both = (special.bessel_j, special.hankel1)
+        for s, k, kernels, tried in ((large, 20.0 + 0.5j, both, True),
+                                     (large, 1.0 + 3.0j, (special.hankel1,), True),
+                                     (small, 2.7 - 0.15j, both, False)):
+            z = k * s.nystrom[0]
+            for kernel in kernels:
+                for m in (0, 1):
+                    amos_points.clear()
+                    got = kernel(m, z, orbits=s.kernel_table)
+                    assert amos_points[-1] == len(s.orbits[0])
+                    assert (len(amos_points) > 1) == tried
+                    assert np.array_equal(got, kernel(m, z, orbits=s.orbits))
+
+    def test_amos_points_per_assembly_are_the_fit_nodes(self, amos_points):
+        # J_m at the 41 fit nodes, then for H1_m J_m and K_m there; with the
+        # plain orbits each kernel takes the 7,321 orbit representatives, and
+        # without orbits all n^2 = 57,600 points
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 240)
-        reps = len(s.orbits[0])
-        assert reps == 7321
+        assert len(s.orbits[0]) == 7321
+        nodes = special.FIT_DEGREE + 1
         for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
             amos_points.clear()
             assemble(s, 2.7 - 0.15j)
-            assert amos_points == [reps, reps]  # J_m, then H1_m through K_m
+            assert amos_points == [nodes, nodes, nodes]
 
 
 class TestAssembleM:
@@ -278,13 +318,13 @@ class TestHelmholtzNep:
         for params in (EX34, MaterialParams(n=2.0, eta=0.3, lam=0.5)):
             nep = HelmholtzNep(s, params)
             for z in (1.2 + 0.1j, 2.5 - 0.05j):
-                P_w, P_v = nep._cache(z * params.sqrt_n), nep._cache(z)
+                P_w, P_v = nep._ratio(z * params.sqrt_n), nep._ratio(z)
                 want = params.lam * P_w - P_v - params.eta * np.eye(s.n)
                 assert np.array_equal(nep(z).view(np.uint64), want.view(np.uint64))
 
     def test_copies_share_one_unbounded_memo(self, trace_ratios):
         # a ratio built through one copy is a hit for the others, and nothing
-        # is evicted: the family's lifetime, not a budget, bounds the memo
+        # is evicted by a budget: only retain drops ratios
         s = sample(parse_shape("circle:r=1"), 32)
         nep = HelmholtzNep(s, EX34)
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
@@ -293,10 +333,23 @@ class TestHelmholtzNep:
             other(z)
         for z in reversed(zs):
             nep(z)
+        # 24 lookups, 12 builds: the second pass is all hits
         assert sorted(trace_ratios, key=abs) == sorted(
             [k for z in zs for k in (z, z * EX34.sqrt_n)], key=abs)
-        info = nep._cache.cache_info()
-        assert info.maxsize is None and (info.hits, info.currsize) == (12, 12)
+        assert other._ratios is nep._ratios and len(nep._ratios) == 12
+
+    def test_retain_keeps_the_ratios_of_the_given_points(self, trace_ratios):
+        # a study point's residual and polish ratios go; its contour nodes stay
+        s = sample(parse_shape("circle:r=1"), 32)
+        nep = HelmholtzNep(s, EX34)
+        nodes, one_off = [1.1 + 0.1j, 1.3 - 0.1j], [1.2 + 0.05j]
+        nep.prefetch(nodes + one_off, 1)
+        nep.with_params(MaterialParams(n=4.0, eta=0.5, lam=3.0)).retain(nodes)
+        assert sorted(nep._ratios, key=abs) == sorted(
+            [k for z in nodes for k in (z, z * EX34.sqrt_n)], key=abs)
+        for z in nodes:
+            nep(z)
+        assert len(trace_ratios) == 6
 
     def test_prefetch_builds_each_trace_ratio_once(self, trace_ratios):
         s = sample(parse_shape("circle:r=1"), 32)
@@ -308,12 +361,22 @@ class TestHelmholtzNep:
             nep(z)
         assert len(trace_ratios) == 4
 
+    def test_prefetch_on_two_threads_is_bitwise_that_on_one(self):
+        # the kernel table's matrix products and fits run on the pool's threads
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 120)
+        zs = list(ContourSpec(2.5, 0.5, 8).nodes())
+        neps = [HelmholtzNep(s, EX34) for _ in range(2)]
+        for nep, jobs in zip(neps, (1, 2)):
+            nep.prefetch(zs, jobs)
+        for z in zs:
+            assert np.array_equal(neps[0](z), neps[1](z))
+
     def test_cache_shared_across_parameters(self):
         s = sample(parse_shape("circle:r=1"), 64)
         nep = HelmholtzNep(s, EX34)
         nep(1.5)
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
-        assert other._cache is nep._cache
+        assert other._ratios is nep._ratios
         # lam enters only as a scalar weight: M_lam3 - M_lam2 = P_w
         d = other(1.5) - nep(1.5)
         s1 = assemble_single_layer(s, 1.5 * EX34.sqrt_n)

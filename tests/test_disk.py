@@ -233,6 +233,15 @@ class TestRealRoots:
             for e in eigs:
                 assert abs(e.k.real - scaled_root_mp(material, e.mode_m, e.k.real)) <= 1e-12
 
+    def test_underflowing_determinant_raises_instead_of_dropping_roots(self):
+        # D_169 of (1, 1, 2) underflows to 0.0 at k = 2000 (D_m decays like
+        # k^-2m for k >> m): a scan row of exact zeros has no sign change, and
+        # the other modes' 768 roots came back as if the row had none
+        p = MaterialParams(1.0, 1.0, 2.0)
+        assert disk_determinant(169, 2000.0, p) == 0.0
+        with pytest.raises(RangeError, match=r"D_\d+ underflows to 0 at k = 199\d"):
+            real_roots_many([p], m_max=169, k_range=(1995.0, 2005.0), tol=1e-8)
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
             real_roots(EX34, k_range=(0.0, 1.0))

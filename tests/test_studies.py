@@ -343,9 +343,11 @@ class TestContourMajor:
         alive = []
 
         def solve(nep, contour, cfg, jobs):
-            nep(contour.nodes()[0])
-            if not any(m() is nep._cache for m in memos):
-                memos.append(weakref.ref(nep._cache))
+            node = complex(contour.nodes()[0])
+            nep(node)
+            ratio = nep._ratios[node]  # the memo's, as long as the memo lives
+            if not any(m() is ratio for m in memos):
+                memos.append(weakref.ref(ratio))
             alive.append([m() is not None for m in memos])
             if contour == self.FIRST and nep.params.lam == 0.5:
                 raise CapacityExceeded("saturated")
