@@ -23,10 +23,10 @@ multiply-add per kernel pair, with A_S, A_K, B_K as that property states:
     K^T_k = k [J_1(k r) * A_K + H1_1(k r) * B_K].
 
 Each kernel call hands ``special`` the sample's kernel table
-(CurveSample.kernel_table): the kernels at the symmetry orbits of the node
-distances come from one Chebyshev fit of 41 Amos points per call, or, for
-small N and past the fit's reach (|k| diam above about 35), from one Amos
-evaluation per orbit.
+(CurveSample.kernel_table): the kernels at the distinct node distances come
+from one Chebyshev fit of 41 Amos points per call, or, for small N and past
+the fit's reach (|k| diam above about 35), from one Amos evaluation per
+distinct distance.
 
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
 for the two media:

@@ -9,8 +9,8 @@ are accepted through :func:`make_curve` and are checked for regularity and
 positive orientation on construction.
 
 A :class:`CurveSample` owns what the Nystrom assembly of :mod:`bie` needs
-that does not depend on the wavenumber: the node distances, their symmetry
-orbits, the log-split quadrature tables, and the kernel table of :mod:`special`.
+that does not depend on the wavenumber: the node distances, the classes of
+equal distances, the log-split tables, and the kernel table of :mod:`special`.
 """
 
 from __future__ import annotations
@@ -163,32 +163,14 @@ def _log_weights(n: int) -> np.ndarray:
     return w[np.abs(l[:, None] - l[None, :])] - (2.0 * np.pi / n) * log
 
 
-def _orbits(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of one entry per orbit of the square r's index pairs, and
-    the index of each entry's orbit (the shape of r); read-only.  The orbits
-    are those of the group generated by the maps of the transpose, i -> -i and
-    i -> n/2 - i (mod n) that leave r unchanged bitwise.  For even n these are
-    commuting involutions, so the group is the products of their subsets."""
-    n, h = r.shape[0], r.shape[0] // 2
-    maps = (lambda i, j: (j, i), lambda i, j: (-i % n, -j % n),
-            lambda i, j: ((h - i) % n, (h - j) % n))
-    images = [np.indices((n, n))]
-    for act in maps:
-        if np.array_equal(r, r[act(*images[0])]):
-            images += [act(*image) for image in images]
-    first = np.min([i * n + j for i, j in images], axis=0)
-    reps, inverse = np.unique(first, return_inverse=True)
-    reps.flags.writeable = inverse.flags.writeable = False
-    return reps, inverse.reshape(n, n)  # a view, read-only too
-
-
 @dataclass(frozen=True, eq=False)
 class CurveSample:
     """Curve data at the N equispaced parameter nodes t_j = 2 pi j / N.
 
     Normals are outward unit vectors; curvature is the signed curvature,
     positive for a counterclockwise circle.  The nodes are mirror-exact: those
-    of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states.
+    of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states,
+    so mirrored distances are equal and share one class of ``orbits``.
     ``chords``, ``orbits``, ``nystrom`` and ``kernel_table`` are read-only, built
     once on first use (before threads share the sample, or two may build them).
     The sample is immutable and thread-safe; samples compare by identity.
@@ -215,9 +197,12 @@ class CurveSample:
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symmetry orbits (reps, inverse) of the node distances r by :func:`_orbits`
-        (7,321 of 57,600 for the ellipse at N = 240); k (r + I) has them bitwise too."""
-        return _orbits(self.chords[0])
+        """Classes of equal entries of r + I: the flat index of each one's first entry,
+        by ascending radius, and each entry's class (r's shape); read-only.  k (r + I) is
+        bitwise constant on each (7,261 of 57,600 entries for the ellipse at N = 240)."""
+        _, reps, inverse = np.unique(self.nystrom[0], return_index=True, return_inverse=True)
+        reps.flags.writeable = inverse.flags.writeable = False
+        return reps, inverse.reshape(self.n, self.n)  # a view, read-only too
 
     @cached_property
     def nystrom(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -235,14 +220,13 @@ class CurveSample:
         return tables
 
     @cached_property
-    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-        """The orbits, the position far in reps of the largest radius rho_max of r + I,
-        and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE (2.4 MB at N = 240)."""
+    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The classes and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE, at
+        their radii rho, the last of which is rho_max (2.4 MB at N = 240)."""
         rho = np.take(self.nystrom[0], self.orbits[0])
-        far = int(np.argmax(rho))
-        basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[far]) ** 2 - 1.0, FIT_DEGREE)
+        basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[-1]) ** 2 - 1.0, FIT_DEGREE)
         basis.flags.writeable = False
-        return *self.orbits, far, basis
+        return *self.orbits, basis
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,21 +11,20 @@ kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
 holds it.  Both call the same Amos K_m routine, and the rotation is done as
 Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 
-``bessel_j`` and ``hankel1`` take the symmetry orbits of a matrix argument
-(``CurveSample.orbits`` for the node distances of an assembly): given
-``orbits=(reps, inverse)``, they evaluate the kernel once per orbit, at
+``bessel_j`` and ``hankel1`` take the classes of equal entries of a matrix
+argument (``CurveSample.orbits`` for the node distances of an assembly): given
+``orbits=(reps, inverse)``, they evaluate the kernel once per class, at
 ``z.flat[reps]``, and spread the values by ``inverse``; the caller vouches that
-z is bitwise constant on each orbit.  Given a kernel table (reps, inverse, far,
-basis) for m = 0, 1 (``CurveSample.kernel_table``), the caller also vouches
-that the representatives lie on the ray through z_max = z.flat[reps[far]], at
-the fractions rho/rho_max of the basis T_j(2 (rho/rho_max)^2 - 1).  The entire
+z is bitwise constant on each class.  Given a kernel table (reps, inverse, basis)
+for m = 0, 1 (``CurveSample.kernel_table``), the caller also vouches that the
+representatives lie on the ray through z_max = z.flat[reps[-1]], at the
+fractions rho/rho_max of the basis T_j(2 (rho/rho_max)^2 - 1).  The entire
 A_m, B_m of J_m = z^m A_m, Y_m = (2/pi) ln(z/2) J_m - [m = 1] 2/(pi z) + z^m B_m
 (DLMF 10.8) are then fitted in x = (z/z_max)^2 from Amos at 41 points of
 [0, z_max], to 5e-15 of the kernel's largest value for |z_max| <= 15.  The
-direct fold is used instead for fewer than 205 representatives, where it is
-cheaper, and where the fit's tail and rounding exceed 1e-14: from |z_max| of
-about 35, or im(z_max) of about 2.5 for H1_1.  Without orbits, z is evaluated
-as given.
+direct fold is used instead for fewer than 205 classes, where it is cheaper,
+where the fit's tail and rounding exceed 1e-14 (from |z_max| of about 35), and
+for H1_1 above im(z_max) = 2.5.  Without classes, z is evaluated as given.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
 four kernels) and order ``|m| <= 170`` (the disk's modes up to 169).  Within
@@ -73,10 +72,11 @@ def _finite_or_raise(value, what: str):
 def _fitted(m: int, z: np.ndarray, table, kernel):
     """kernel(m, z), J_m or H1_m, at the representatives z by the Chebyshev fit of
     A_m and B_m (module docstring); None where the fit's last two coefficients and
-    its rounding, in units of z^m times the kernel, exceed _FIT_RTOL of its largest."""
-    hankel, (far, basis) = kernel.__name__ == "hankel1", table[2:]
+    its rounding, in units of z^m times the kernel, exceed _FIT_RTOL of its largest,
+    and for H1_1 above im(z_max) = 2.5, where the rounding of J_1 + i Y_1 outgrows it."""
+    hankel, basis = kernel.__name__ == "hankel1", table[2]
     z = _hankel_argument(m, z) if hankel else _check_argument(z)
-    nodes, c, log = z[far] * _FIT_FRACTIONS, 2.0 / math.pi, 0.0
+    nodes, c, log = z[-1] * _FIT_FRACTIONS, 2.0 / math.pi, 0.0
     zs = ns = 1.0
     if m:  # s = z / (1 + |z|^2/4) keeps J_1 / s and z B_1 / s one size on [0, z_max],
         # and entire in x, as |z|^2 = |z_max|^2 x on the ray
@@ -92,7 +92,8 @@ def _fitted(m: int, z: np.ndarray, table, kernel):
     mag = np.abs(coef.view(values.dtype))
     error = np.abs(nodes**m * ns * (1.0 + 1j * log)).max() * np.sum(
         mag[-2:].max(axis=0) + 1.1e-16 * mag.sum(axis=0))
-    if not error <= _FIT_RTOL * np.abs(nodes**m * at_nodes).max():
+    if (hankel and m and z[-1].imag > 2.5
+            or not error <= _FIT_RTOL * np.abs(nodes**m * at_nodes).max()):
         return None
     a, *b = (basis @ coef).view(values.dtype).T
     out = zs * a
@@ -112,7 +113,7 @@ def _b_series(m: int, z):
 
 
 def _on_orbits(kernel):
-    """kernel(m, z), or with orbits, kernel(m, z.flat[reps]) spread over z's
+    """kernel(m, z), or with classes, kernel(m, z.flat[reps]) spread over z's
     shape by inverse: bitwise from (reps, inverse), by :func:`_fitted` from a
     kernel table where the fit holds."""
     @wraps(kernel)
@@ -122,7 +123,7 @@ def _on_orbits(kernel):
         z = np.asarray(z)
         values, fit = np.take(z, orbits[0]), None
         # the fit's fixed cost is that of Amos on ~200 representatives
-        if len(orbits) == 4 and m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
+        if len(orbits) == 3 and m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
             fit = _fitted(m, values, orbits, kernel)
         values = kernel(m, values) if fit is None else fit
         # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
@@ -152,7 +153,7 @@ def bessel_j(m: int, z):
 
     Real input stays on the real path (the result dtype matches the input),
     so ``im(J_m(x)) == 0`` exactly for real x.  ``orbits``: one evaluation
-    per symmetry orbit of z, as the module docstring states.
+    per class of equal entries of z, as the module docstring states.
     """
     return _bessel_j(m, z, 0)
 

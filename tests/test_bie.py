@@ -120,7 +120,7 @@ class TestQuadratureData:
         # built once per sample
         assert s.chords is s.chords and s.orbits is s.orbits and s.nystrom is s.nystrom
         assert s.kernel_table is s.kernel_table
-        for cached in (*s.chords, *s.orbits, *s.nystrom, s.kernel_table[3]):
+        for cached in (*s.chords, *s.orbits, *s.nystrom, s.kernel_table[2]):
             assert not cached.flags.writeable
 
 
@@ -159,7 +159,7 @@ def _log_split_reference(s, k):
 class TestSymmetricKernels:
     INPUTS = [("ellipse:a=1,b=1.2", 120), ("ellipse:a=1,b=1.2", 240), ("kite", 64),
               ("circle:r=1", 240), ("ellipse:a=1,b=1.2", 122), ("trig", 240)]
-    KS = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j)
+    KS = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j, 1.0 + 1.5j)
 
     @staticmethod
     def _sample(shape, n):
@@ -167,8 +167,20 @@ class TestSymmetricKernels:
         return sample(ASYMMETRIC if shape == "trig" else parse_shape(shape), n)
 
     @pytest.mark.parametrize("shape, n", INPUTS)
+    def test_classes_hold_the_kernel_argument_bitwise(self, shape, n):
+        # special's fold contract: z = k (r + I) is bitwise constant on each class,
+        # and the representatives ascend in radius, so the last is at rho_max
+        s = self._sample(shape, n)
+        reps, inverse = s.orbits
+        rho = np.take(s.nystrom[0], reps)
+        assert np.all(np.diff(rho) > 0) and rho[-1] == s.nystrom[0].max()
+        for k in self.KS:
+            z = k * s.nystrom[0]
+            assert np.array_equal(np.take(z, reps)[inverse], z)
+
+    @pytest.mark.parametrize("shape, n", INPUTS)
     def test_fold_leaves_operators_bitwise_equal(self, shape, n, monkeypatch):
-        # the operators assembled with the plain orbits (reps, inverse) equal
+        # the operators assembled with the plain classes (reps, inverse) equal
         # those with orbits=None; the kernel table's fit is held to the log
         # split's bounds by test_fused_assembly_matches_the_log_split
         s = self._sample(shape, n)
@@ -214,8 +226,8 @@ class TestSymmetricKernels:
     def test_beyond_the_fit_the_fold_is_direct(self, amos_points):
         # |z_max| = 48, past the fit's degree, and im(z_max) = 7.2, where J_m
         # and Y_m dwarf H1_m = J_m + i Y_m: the fit is tried, then Amos runs on
-        # the orbit representatives, bitwise as with the plain orbits; the 145
-        # representatives of the circle at N = 32 skip the fit
+        # the class representatives, bitwise as with the plain classes; the 34
+        # classes of the circle at N = 32 skip the fit
         large = self._sample("ellipse:a=1,b=1.2", 240)
         small = self._sample("circle:r=1", 32)
         both = (special.bessel_j, special.hankel1)
@@ -233,10 +245,9 @@ class TestSymmetricKernels:
 
     def test_amos_points_per_assembly_are_the_fit_nodes(self, amos_points):
         # J_m at the 41 fit nodes, then for H1_m J_m and K_m there; with the
-        # plain orbits each kernel takes the 7,321 orbit representatives, and
-        # without orbits all n^2 = 57,600 points
+        # plain classes each kernel takes the 7,261 class representatives, and
+        # without classes all n^2 = 57,600 points
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 240)
-        assert len(s.orbits[0]) == 7321
         nodes = special.FIT_DEGREE + 1
         for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
             amos_points.clear()
