@@ -22,10 +22,10 @@ multiply-add per kernel pair, with A_S, A_K, B_K as that property states:
     S_k = J_0(k r) * A_S + H1_0(k r) * (i h/4) |x'(tau)|,  h = 2 pi/N,
     K^T_k = k [J_1(k r) * A_K + H1_1(k r) * B_K].
 
-Each kernel call hands ``special`` the sample's kernel table
-(CurveSample.kernel_table): the kernels at the distinct node distances come
-from one Chebyshev fit of 41 Amos points per call, or, for small N and past
-the fit's reach (|k| diam above about 35), from one Amos evaluation per
+Each kernel call hands ``special`` the kernel table of the node distances,
+the last entry of CurveSample.nystrom: the kernels at the distinct distances
+come from one Chebyshev fit of 41 Amos points per call, or, for small N and
+past the fit's reach (|k| diam above about 35), from one Amos evaluation per
 distinct distance.
 
 The eigenvalue matrix combines interior traces of single-layer ansatz fields
@@ -52,7 +52,6 @@ from .linalg import _map
 from .materials import MaterialParams
 from .special import bessel_j, hankel1
 
-EULER_GAMMA = 0.57721566490153286061
 MIN_NODES = 16
 
 
@@ -66,13 +65,13 @@ def _check_wavenumber(k: complex) -> complex:
 def _tables(s: CurveSample):
     if s.n < MIN_NODES:
         raise ConfigError(f"boundary assembly needs at least {MIN_NODES} nodes, got {s.n}")
-    return s.nystrom, s.kernel_table
+    return s.nystrom
 
 
-def _kernel_pair(m: int, z: np.ndarray, orbits, a: np.ndarray, b) -> np.ndarray:
+def _kernel_pair(m: int, z: np.ndarray, table, a: np.ndarray, b) -> np.ndarray:
     """J_m(z) * a + H1_m(z) * b."""
-    out = bessel_j(m, z, orbits=orbits) * a
-    out += hankel1(m, z, orbits=orbits) * b
+    out = bessel_j(m, z, table=table) * a
+    out += hankel1(m, z, table=table) * b
     return out
 
 
@@ -83,10 +82,10 @@ def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
     the analytic limit (i/4 - gamma/(2 pi) - ln(k |x'(t)|/2)/(2 pi)) |x'(t)|.
     """
     k = _check_wavenumber(k)
-    (r_safe, a_s, _, _), orbits = _tables(sample)
+    r_safe, a_s, _, _, table = _tables(sample)
     sp, h = sample.speeds, 2.0 * np.pi / sample.n
-    S = _kernel_pair(0, k * r_safe, orbits, a_s, (0.25j * h) * sp)
-    limit = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
+    S = _kernel_pair(0, k * r_safe, table, a_s, (0.25j * h) * sp)
+    limit = (0.25j - np.euler_gamma / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
     np.fill_diagonal(S, np.diagonal(a_s) + h * limit)  # a_s_ii = -R_0 sp_i / (4 pi)
     return S
 
@@ -100,8 +99,8 @@ def assemble_adjoint_double_layer(sample: CurveSample, k: complex) -> np.ndarray
     diagonal).
     """
     k = _check_wavenumber(k)
-    (r_safe, _, a_k, b_k), orbits = _tables(sample)
-    K = _kernel_pair(1, k * r_safe, orbits, a_k, b_k)
+    r_safe, _, a_k, b_k, table = _tables(sample)
+    K = _kernel_pair(1, k * r_safe, table, a_k, b_k)
     K *= k
     np.fill_diagonal(K, (-0.5 / sample.n) * sample.curvatures * sample.speeds)  # h/(4 pi) = 1/(2N)
     return K

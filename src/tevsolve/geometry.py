@@ -9,8 +9,8 @@ are accepted through :func:`make_curve` and are checked for regularity and
 positive orientation on construction.
 
 A :class:`CurveSample` owns what the Nystrom assembly of :mod:`bie` needs
-that does not depend on the wavenumber: the node distances, the classes of
-equal distances, the log-split tables, and the kernel table of :mod:`special`.
+that does not depend on the wavenumber: the node distances, the log-split
+tables, and the kernel table that :mod:`special` builds from the distances.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .special import FIT_DEGREE
+from .special import kernel_table
 
 _PROBE_N = 1024
 _MIN_SPEED = 1.0e-9
@@ -170,9 +170,9 @@ class CurveSample:
     Normals are outward unit vectors; curvature is the signed curvature,
     positive for a counterclockwise circle.  The nodes are mirror-exact: those
     of a mirror-symmetric curve are bitwise mirrored, as :func:`sample` states,
-    so mirrored distances are equal and share one class of ``orbits``.
-    ``chords``, ``orbits``, ``nystrom`` and ``kernel_table`` are read-only, built
-    once on first use (before threads share the sample, or two may build them).
+    so mirrored distances are equal and share one class of the kernel table.
+    ``nystrom`` is read-only and built once on first use (before threads share
+    the sample, or two may build it).
     The sample is immutable and thread-safe; samples compare by identity.
     """
 
@@ -184,49 +184,24 @@ class CurveSample:
     curvatures: np.ndarray
 
     @cached_property
-    def chords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node distances |x_i - x_j| and normal projections nu_i . (x_i - x_j);
-        raises GeometryError when two distinct nodes coincide."""
+    def nystrom(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The k-independent tables of the log-split Nystrom rule (see :mod:`bie`):
+        r + I for the node distances r_ij = |x_i - x_j|, A_S = -(R - h L) sp_j / (4 pi),
+        A_K = (R - h L) g / (4 pi), B_K = -i (h/4) g and ``special.kernel_table(r + I)``,
+        with h = 2 pi/N, the log weights R_|i-j|, the log factor
+        L_ij = ln(4 sin^2((t_i - t_j)/2)) and g_ij = nu_i . (x_i - x_j) / r_ij * sp_j.
+        Raises GeometryError when two distinct nodes coincide."""
         d = self.points[:, None, :] - self.points[None, :, :]
         r = np.hypot(d[..., 0], d[..., 1])
         if np.any(r[~np.eye(self.n, dtype=bool)] < 1.0e-12):
             raise GeometryError("coincident quadrature nodes; curve is degenerate")
-        proj = np.einsum("ik,ijk->ij", self.normals, d)
-        r.flags.writeable = proj.flags.writeable = False
-        return r, proj
-
-    @cached_property
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Classes of equal entries of r + I: the flat index of each one's first entry,
-        by ascending radius, and each entry's class (r's shape); read-only.  k (r + I) is
-        bitwise constant on each (7,261 of 57,600 entries for the ellipse at N = 240)."""
-        _, reps, inverse = np.unique(self.nystrom[0], return_index=True, return_inverse=True)
-        reps.flags.writeable = inverse.flags.writeable = False
-        return reps, inverse.reshape(self.n, self.n)  # a view, read-only too
-
-    @cached_property
-    def nystrom(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The k-independent tables of the log-split Nystrom rule (see :mod:`bie`):
-        r + I, A_S = -(R - h L) sp_j / (4 pi), A_K = (R - h L) g / (4 pi) and
-        B_K = -i (h/4) g, with h = 2 pi/N, the log weights R_|i-j|, the log factor
-        L_ij = ln(4 sin^2((t_i - t_j)/2)) and g_ij = nu_i . (x_i - x_j) / r_ij * sp_j."""
-        (r, proj), sp = self.chords, self.speeds
+        r += np.eye(self.n)
+        g = np.einsum("ik,ijk->ij", self.normals, d) / r * self.speeds
         split = _log_weights(self.n) / (4.0 * np.pi)
-        r_safe = r + np.eye(self.n)
-        g = proj / r_safe * sp
-        tables = (r_safe, -split * sp, split * g, (-0.25j * 2.0 * np.pi / self.n) * g)
+        tables = (r, -split * self.speeds, split * g, (-0.25j * 2.0 * np.pi / self.n) * g)
         for table in tables:
             table.flags.writeable = False
-        return tables
-
-    @cached_property
-    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The classes and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE, at
-        their radii rho, the last of which is rho_max (2.4 MB at N = 240)."""
-        rho = np.take(self.nystrom[0], self.orbits[0])
-        basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[-1]) ** 2 - 1.0, FIT_DEGREE)
-        basis.flags.writeable = False
-        return *self.orbits, basis
+        return *tables, kernel_table(r)
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:

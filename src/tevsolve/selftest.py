@@ -15,6 +15,7 @@ import numpy as np
 
 from .beyn import BeynConfig, ContourSpec, beyn_solve
 from .bie import HelmholtzNep, assemble_single_layer, neumann_trace_matrix
+from .errors import TevError
 from .geometry import parse_shape, sample
 from .materials import MaterialParams
 from .special import bessel_j, hankel1
@@ -37,6 +38,8 @@ def _check(name, fn) -> CheckResult:
         ok = True
     except AssertionError as exc:
         detail, ok = str(exc), False
+    except TevError as exc:  # a typed solver failure fails this check, not the run
+        detail, ok = f"{type(exc).__name__}: {exc}", False
     return CheckResult(name, ok, detail, time.perf_counter() - t0)
 
 

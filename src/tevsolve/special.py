@@ -11,20 +11,16 @@ kernel assemblies on several threads run in parallel; ``scipy.special.hankel1``
 holds it.  Both call the same Amos K_m routine, and the rotation is done as
 Amos does it, so the values are bitwise those of ``scipy.special.hankel1``.
 
-``bessel_j`` and ``hankel1`` take the classes of equal entries of a matrix
-argument (``CurveSample.orbits`` for the node distances of an assembly): given
-``orbits=(reps, inverse)``, they evaluate the kernel once per class, at
-``z.flat[reps]``, and spread the values by ``inverse``; the caller vouches that
-z is bitwise constant on each class.  Given a kernel table (reps, inverse, basis)
-for m = 0, 1 (``CurveSample.kernel_table``), the caller also vouches that the
-representatives lie on the ray through z_max = z.flat[reps[-1]], at the
-fractions rho/rho_max of the basis T_j(2 (rho/rho_max)^2 - 1).  The entire
+``bessel_j`` and ``hankel1`` take a table of :func:`kernel_table` for a real matrix
+r, given z = k r: they evaluate the kernel once per class of equal entries of r, at
+``z.flat[reps]``, and spread the values by ``inverse``.  For m = 0, 1 the entire
 A_m, B_m of J_m = z^m A_m, Y_m = (2/pi) ln(z/2) J_m - [m = 1] 2/(pi z) + z^m B_m
-(DLMF 10.8) are then fitted in x = (z/z_max)^2 from Amos at 41 points of
-[0, z_max], to 5e-15 of the kernel's largest value for |z_max| <= 15.  The
-direct fold is used instead for fewer than 205 classes, where it is cheaper,
-where the fit's tail and rounding exceed 1e-14 (from |z_max| of about 35), and
-for H1_1 above im(z_max) = 2.5.  Without classes, z is evaluated as given.
+(DLMF 10.8) are fitted in x = (z/z_max)^2, z_max = k max(r), from Amos at 41 points
+of [0, z_max], to 5e-15 of the kernel's largest value for |z_max| <= 15, and summed
+on the table's basis.  Amos runs on each class instead for fewer than 205 classes,
+where it is cheaper, where the fit's tail and rounding exceed 1e-14 (from |z_max| of
+about 35), and for H1_1 above im(z_max) = 2.5.  Without a table, z is evaluated as
+given.
 
 Supported range: finite ``z`` with ``|z| <= 1e4`` (one check, shared by all
 four kernels) and order ``|m| <= 170`` (the disk's modes up to 169).  Within
@@ -69,12 +65,25 @@ def _finite_or_raise(value, what: str):
     return value
 
 
-def _fitted(m: int, z: np.ndarray, table, kernel):
+def kernel_table(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of a real matrix r for ``table=``, read-only: the flat index of
+    the first entry of each class of equal entries, in ascending order, each entry's
+    class (r's shape), and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE,
+    at the classes' values rho (2.4 MB for the 7,261 classes of the ellipse at N = 240)."""
+    rho, reps, inverse = np.unique(r, return_index=True, return_inverse=True)
+    basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[-1]) ** 2 - 1.0, FIT_DEGREE)
+    table = reps, inverse.reshape(np.shape(r)), basis
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _fitted(m: int, z: np.ndarray, basis, kernel):
     """kernel(m, z), J_m or H1_m, at the representatives z by the Chebyshev fit of
     A_m and B_m (module docstring); None where the fit's last two coefficients and
     its rounding, in units of z^m times the kernel, exceed _FIT_RTOL of its largest,
     and for H1_1 above im(z_max) = 2.5, where the rounding of J_1 + i Y_1 outgrows it."""
-    hankel, basis = kernel.__name__ == "hankel1", table[2]
+    hankel = kernel.__name__ == "hankel1"
     z = _hankel_argument(m, z) if hankel else _check_argument(z)
     nodes, c, log = z[-1] * _FIT_FRACTIONS, 2.0 / math.pi, 0.0
     zs = ns = 1.0
@@ -112,23 +121,23 @@ def _b_series(m: int, z):
     return total / (-math.pi * 2**m)
 
 
-def _on_orbits(kernel):
-    """kernel(m, z), or with classes, kernel(m, z.flat[reps]) spread over z's
-    shape by inverse: bitwise from (reps, inverse), by :func:`_fitted` from a
-    kernel table where the fit holds."""
+def _on_table(kernel):
+    """kernel(m, z), or with a table, kernel(m, z.flat[reps]) spread over z's
+    shape by inverse: by :func:`_fitted` where the fit holds, else from Amos."""
     @wraps(kernel)
-    def folded(m, z, orbits=None):
-        if orbits is None:
+    def folded(m, z, table=None):
+        if table is None:
             return kernel(m, z)
         z = np.asarray(z)
-        values, fit = np.take(z, orbits[0]), None
+        reps, inverse, basis = table
+        values, fit = np.take(z, reps), None
         # the fit's fixed cost is that of Amos on ~200 representatives
-        if len(orbits) == 3 and m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
-            fit = _fitted(m, values, orbits, kernel)
+        if m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
+            fit = _fitted(m, values, basis, kernel)
         values = kernel(m, values) if fit is None else fit
         # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
-        # an out of z's shape rejects orbits that do not fit z
-        return np.take(values, orbits[1], out=np.empty(z.shape, values.dtype))
+        # an out of z's shape rejects a table that does not fit z
+        return np.take(values, inverse, out=np.empty(z.shape, values.dtype))
     return folded
 
 
@@ -147,13 +156,13 @@ def _bessel_j(m: int, z, n: int):
     return -value if m < 0 and m % 2 else value
 
 
-@_on_orbits
+@_on_table
 def bessel_j(m: int, z):
     """Bessel function of the first kind J_m(z), integer order.
 
     Real input stays on the real path (the result dtype matches the input),
-    so ``im(J_m(x)) == 0`` exactly for real x.  ``orbits``: one evaluation
-    per class of equal entries of z, as the module docstring states.
+    so ``im(J_m(x)) == 0`` exactly for real x.  ``table``: one evaluation
+    per class of a :func:`kernel_table`, as the module docstring states.
     """
     return _bessel_j(m, z, 0)
 
@@ -183,13 +192,13 @@ def _hankel_argument(m: int, z):
     return z
 
 
-@_on_orbits
+@_on_table
 def hankel1(m: int, z):
     """Hankel function of the first kind H^(1)_m(z) for m in {0, 1}.
 
     Requires ``re(z) > 0`` (away from the branch cut) and ``|z| >= 1e-8``;
     closer to the origin the logarithmic singularity must be handled by the
-    caller's kernel splitting.  ``orbits`` as for :func:`bessel_j`.
+    caller's kernel splitting.  ``table`` as for :func:`bessel_j`.
     """
     # H1_m(z) = (2/(pi i)) e^{-i m pi/2} K_m(-iz), the factor in Amos's real arithmetic
     k = _sp.kv(m, -1j * _hankel_argument(m, z))

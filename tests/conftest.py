@@ -8,8 +8,9 @@ from tevsolve import bie, special
 @pytest.fixture
 def amos_points(monkeypatch):
     """The argument sizes of every Amos K_m and J_m call that :mod:`special`
-    makes, in order: the fit nodes of a kernel table (special.FIT_DEGREE + 1
-    per call) as well as direct evaluations."""
+    makes, in order: the fit nodes of a call given a kernel table
+    (special.FIT_DEGREE + 1 per call), the class representatives where such a
+    call falls back to Amos on each class, and direct evaluations."""
     points = []
     for name in ("kv", "jv"):
         amos = getattr(sp, name)

@@ -1,6 +1,8 @@
 """Boundary-operator discretization: circle-mode oracles, kernel structure,
 the assembled eigenvalue matrix, and resonance detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -117,10 +119,10 @@ class TestQuadratureData:
         for a, b in zip(first, copies):
             assert np.array_equal(a, b)
         assert np.array_equal(assemble_single_layer(s, 1.5 + 0.1j), copies[0])
-        # built once per sample
-        assert s.chords is s.chords and s.orbits is s.orbits and s.nystrom is s.nystrom
-        assert s.kernel_table is s.kernel_table
-        for cached in (*s.chords, *s.orbits, *s.nystrom, s.kernel_table[2]):
+        # built once per sample, its only cache
+        assert s.nystrom is s.nystrom
+        assert vars(s).keys() - {f.name for f in dataclasses.fields(s)} == {"nystrom"}
+        for cached in (*s.nystrom[:4], *s.nystrom[4]):
             assert not cached.flags.writeable
 
 
@@ -131,7 +133,7 @@ ASYMMETRIC = make_curve("trig", xc=(0.1, 1.0, 0.2, 0.05), xs=(0.0, 0.1, 0.07, 0.
 def _log_split_reference(s, k):
     """S_k and K^T_k by the log split as first written: each kernel split as
     smooth * log + rest, the smooth part weighted by R, the rest by the trapezoid
-    rule, with orbits=None."""
+    rule, with table=None, from the nodes and normals alone."""
     n, speed, h = s.n, s.speeds, 2.0 * np.pi / s.n
     l = np.arange(n)
     m = np.arange(1, n // 2)
@@ -145,12 +147,13 @@ def _log_split_reference(s, k):
         np.fill_diagonal(rest, rest_diag)
         return weights * smooth + h * rest
 
-    r = s.chords[0] + np.eye(n)
+    d = s.points[:, None, :] - s.points[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1]) + np.eye(n)
     z = k * r
-    limit = (0.25j - bie.EULER_GAMMA / (2.0 * np.pi) - np.log(k * speed / 2.0) / (2.0 * np.pi))
+    limit = (0.25j - np.euler_gamma / (2.0 * np.pi) - np.log(k * speed / 2.0) / (2.0 * np.pi))
     S = split(-(1.0 / (4.0 * np.pi)) * special.bessel_j(0, z) * speed,
               0.25j * special.hankel1(0, z) * speed, -(1.0 / (4.0 * np.pi)) * speed, limit * speed)
-    g = s.chords[1] / r * speed
+    g = np.einsum("ik,ijk->ij", s.normals, d) / r * speed
     K = split((k / (4.0 * np.pi)) * special.bessel_j(1, z) * g,
               -(0.25j * k) * special.hankel1(1, z) * g, 0.0, -s.curvatures * speed / (4.0 * np.pi))
     return S, K
@@ -158,7 +161,8 @@ def _log_split_reference(s, k):
 
 class TestSymmetricKernels:
     INPUTS = [("ellipse:a=1,b=1.2", 120), ("ellipse:a=1,b=1.2", 240), ("kite", 64),
-              ("circle:r=1", 240), ("ellipse:a=1,b=1.2", 122), ("trig", 240)]
+              ("circle:r=1", 240), ("ellipse:a=1,b=1.2", 122), ("trig", 240),
+              ("circle:r=0.3", 240)]  # under unit diameter the diagonal's 1 is r_max
     KS = (1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 0.6 + 0.4j, 1.0 + 1.5j)
 
     @staticmethod
@@ -171,7 +175,7 @@ class TestSymmetricKernels:
         # special's fold contract: z = k (r + I) is bitwise constant on each class,
         # and the representatives ascend in radius, so the last is at rho_max
         s = self._sample(shape, n)
-        reps, inverse = s.orbits
+        reps, inverse, _ = s.nystrom[4]
         rho = np.take(s.nystrom[0], reps)
         assert np.all(np.diff(rho) > 0) and rho[-1] == s.nystrom[0].max()
         for k in self.KS:
@@ -180,19 +184,20 @@ class TestSymmetricKernels:
 
     @pytest.mark.parametrize("shape, n", INPUTS)
     def test_fold_leaves_operators_bitwise_equal(self, shape, n, monkeypatch):
-        # the operators assembled with the plain classes (reps, inverse) equal
-        # those with orbits=None; the kernel table's fit is held to the log
-        # split's bounds by test_fused_assembly_matches_the_log_split
+        # the operators assembled from Amos on each class of the kernel table
+        # (the fit switched off) equal those with table=None; the fit is held to
+        # the log split's bounds by test_fused_assembly_matches_the_log_split
         s = self._sample(shape, n)
+        monkeypatch.setattr(special, "_fitted", lambda *args: None)
 
         def operators(fold):
-            monkeypatch.setattr(bie, "hankel1", lambda m, z, orbits: special.hankel1(m, z, fold))
-            monkeypatch.setattr(bie, "bessel_j", lambda m, z, orbits: special.bessel_j(m, z, fold))
+            monkeypatch.setattr(bie, "hankel1", lambda m, z, table: special.hankel1(m, z, fold))
+            monkeypatch.setattr(bie, "bessel_j", lambda m, z, table: special.bessel_j(m, z, fold))
             nep = HelmholtzNep(s, EX34)
             return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k), nep(k))
                     for k in self.KS]
 
-        for with_fold, without in zip(operators(s.orbits), operators(None)):
+        for with_fold, without in zip(operators(s.nystrom[4]), operators(None)):
             for a, b in zip(with_fold, without):
                 assert np.array_equal(a, b)
 
@@ -217,17 +222,17 @@ class TestSymmetricKernels:
         for k in (0.06 + 0.04j, 0.6 + 0.4j, 1.3 + 0.2j, 2.7 - 0.15j, 4.1 + 0.05j, 6.0 - 0.5j):
             for kernel in (special.bessel_j, special.hankel1):
                 for m in (0, 1):
-                    want = kernel(m, k * z0, orbits=s.orbits)
+                    want = kernel(m, k * z0)
                     amos_points.clear()
-                    got = kernel(m, k * z0, orbits=s.kernel_table)
+                    got = kernel(m, k * z0, table=s.nystrom[4])
                     assert set(amos_points) == {special.FIT_DEGREE + 1}
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_beyond_the_fit_the_fold_is_direct(self, amos_points):
         # |z_max| = 48, past the fit's degree, and im(z_max) = 7.2, where J_m
         # and Y_m dwarf H1_m = J_m + i Y_m: the fit is tried, then Amos runs on
-        # the class representatives, bitwise as with the plain classes; the 34
-        # classes of the circle at N = 32 skip the fit
+        # the class representatives, bitwise as without a table; the 34 classes
+        # of the circle at N = 32 skip the fit
         large = self._sample("ellipse:a=1,b=1.2", 240)
         small = self._sample("circle:r=1", 32)
         both = (special.bessel_j, special.hankel1)
@@ -238,15 +243,15 @@ class TestSymmetricKernels:
             for kernel in kernels:
                 for m in (0, 1):
                     amos_points.clear()
-                    got = kernel(m, z, orbits=s.kernel_table)
-                    assert amos_points[-1] == len(s.orbits[0])
+                    got = kernel(m, z, table=s.nystrom[4])
+                    assert amos_points[-1] == len(s.nystrom[4][0])
                     assert (len(amos_points) > 1) == tried
-                    assert np.array_equal(got, kernel(m, z, orbits=s.orbits))
+                    assert np.array_equal(got, kernel(m, z))
 
     def test_amos_points_per_assembly_are_the_fit_nodes(self, amos_points):
-        # J_m at the 41 fit nodes, then for H1_m J_m and K_m there; with the
-        # plain classes each kernel takes the 7,261 class representatives, and
-        # without classes all n^2 = 57,600 points
+        # J_m at the 41 fit nodes, then for H1_m J_m and K_m there; with Amos
+        # on each class each kernel takes the 7,261 class representatives, and
+        # without a table all n^2 = 57,600 points
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 240)
         nodes = special.FIT_DEGREE + 1
         for assemble in (assemble_single_layer, assemble_adjoint_double_layer):
@@ -320,7 +325,7 @@ class TestHelmholtzNep:
         # the pool's threads then only read them, and never build them twice
         s = sample(parse_shape("kite"), 32)
         HelmholtzNep(s, EX34)
-        assert {"chords", "orbits", "nystrom"} <= vars(s).keys()
+        assert "nystrom" in vars(s)
 
     def test_matrix_bitwise_equal_to_the_identity_form(self):
         # M(z) is formed in place; its bits, signed zeros included, are those of

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from tevsolve import special
 from tevsolve.errors import RangeError, SingularityError
 from tevsolve.geometry import make_curve, parse_shape, sample
 from tevsolve.special import (
@@ -223,10 +224,8 @@ def _symmetric(n, seed=11):
 
 
 def _classes(z):
-    """(reps, inverse) of the classes of equal entries of z, as CurveSample.orbits
-    builds them for the node distances."""
-    _, reps, inverse = np.unique(z, return_index=True, return_inverse=True)
-    return reps, inverse.reshape(np.shape(z))
+    """The kernel table of |z|: on these inputs its classes are those of equal entries of z."""
+    return special.kernel_table(np.abs(z))
 
 
 # a curve with no mirror symmetry: its node distances are symmetric under the transpose only
@@ -254,15 +253,15 @@ class TestSymmetricFold:
         # a random symmetric matrix has one class per entry of its upper triangle
         points = amos_points
         z = _symmetric(12)
-        orbits = _classes(z)
+        table = _classes(z)
         for kernel, scipy_kernel in self.KERNELS:
             for m in (0, 1):
                 points.clear()
-                assert np.array_equal(kernel(m, z, orbits=orbits), scipy_kernel(m, z))
+                assert np.array_equal(kernel(m, z, table=table), scipy_kernel(m, z))
                 assert points == [12 * 13 // 2]
                 points.clear()
                 kernel(m, z + np.triu(np.full((12, 12), 1e-3), 1),
-                       orbits=_classes(z + np.triu(np.full((12, 12), 1e-3), 1)))
+                       table=_classes(z + np.triu(np.full((12, 12), 1e-3), 1)))
                 assert points == [144]
 
     def test_without_orbits_every_point_is_evaluated(self, amos_points):
@@ -275,15 +274,16 @@ class TestSymmetricFold:
                 assert points == [144]
 
     def test_orbits_must_fit_the_argument(self):
-        orbits = _classes(_symmetric(12))
+        table = _classes(_symmetric(12))
         for kernel, _ in self.KERNELS:
             for n in (10, 14):
                 with pytest.raises((IndexError, ValueError)):
-                    kernel(0, _symmetric(n), orbits=orbits)
+                    kernel(0, _symmetric(n), table=table)
 
     # each curve's classes are at most its mirror-group orbits (the group named
     # in each comment), as mirror-exact nodes make mirrored distances equal; fewer
-    # where distances coincide otherwise, which rounding decides
+    # where distances coincide otherwise, which rounding decides; the fit is
+    # switched off, so that each kernel runs Amos on each class
     @pytest.mark.parametrize("curve, n, orbits", [
         (parse_shape("ellipse:a=1,b=1.2"), 240, 7321),  # transpose and both mirrors
         (parse_shape("kite"), 240, 14521),              # transpose and y -> -y
@@ -292,16 +292,19 @@ class TestSymmetricFold:
         # transpose and x -> -x: a kite pointing up, (cos t, sin t + 0.3 cos 2t)
         (make_curve("trig", xc=(0, 1), xs=(0, 0), yc=(0, 0, 0.3), ys=(0, 1)), 240, 14521),
     ], ids=["ellipse-240", "kite-240", "trig-240", "ellipse-122", "x-mirror-240"])
-    def test_curve_distances_evaluate_one_point_per_orbit(self, curve, n, orbits, amos_points):
+    def test_curve_distances_evaluate_one_point_per_orbit(self, curve, n, orbits, amos_points,
+                                                         monkeypatch):
+        monkeypatch.setattr(special, "_fitted", lambda *args: None)
         s = sample(curve, n)
-        classes = len(s.orbits[0])
+        table = s.nystrom[4]
+        classes = len(table[0])
         assert classes <= orbits
-        z = (2.7 - 0.15j) * (s.chords[0] + np.eye(n))
+        z = (2.7 - 0.15j) * s.nystrom[0]
         points = amos_points
         for ours, scipy_kernel in self.KERNELS:
             for m in (0, 1):
                 points.clear()
-                got = ours(m, z, orbits=s.orbits)
+                got = ours(m, z, table=table)
                 assert points == [classes]
                 assert np.array_equal(got, scipy_kernel(m, z))
 
@@ -314,15 +317,15 @@ class TestSymmetricFold:
             (2.0e4, (hankel1, bessel_j), RangeError),      # |z| > 1e4
             (1.0 - 800j, (bessel_j,), RangeError),         # J overflows
         )
-        orbits = _classes(_symmetric(6))
+        table = _classes(_symmetric(6))
         for bad, kernels, error in cases:
             z = _symmetric(6)
             z[1, 4] = z[4, 1] = bad
             for kernel in kernels:
                 for m in (0, 1):
-                    for given in (orbits, None):
+                    for given in (table, None):
                         with pytest.raises(error):
-                            kernel(m, z, orbits=given)
+                            kernel(m, z, table=given)
 
 
 class TestPositiveRoots:

@@ -783,3 +783,16 @@ class TestCli:
         proc = self.run_cli("selftest")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "[PASS]" in proc.stdout and "[FAIL]" not in proc.stdout
+
+    def test_selftest_typed_error_fails_its_check(self, monkeypatch, capsys):
+        # a solver error fails the checks that meet it; the others still run
+        from tevsolve import selftest
+
+        def saturated(*args, **kwargs):
+            raise CapacityExceeded("probe space saturated")
+
+        monkeypatch.setattr(selftest, "beyn_solve", saturated)
+        assert main(["selftest"]) == cli.EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 2 and out.count("[PASS]") == 3
+        assert "CapacityExceeded: probe space saturated" in out
