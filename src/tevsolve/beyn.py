@@ -123,7 +123,8 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
                jobs: int = 1) -> list[NepEigenvalue]:
     """Eigenvalues of the holomorphic family ``nep`` strictly inside ``contour``.
 
-    ``nep`` maps z to a square complex matrix and exposes ``dim``.  Returned
+    ``nep`` maps z to a square complex matrix, an array or a linalg.BlockDiag
+    (HelmholtzNep's block-diagonal M(z)), and exposes ``dim``.  Returned
     eigenvalues are filtered to the open disk and to relative residual
     <= cfg.residual_tol.  Each one is polished by one Newton step on M (see
     _newton_polish), which squares the trapezoid error of the reduced problem.

@@ -153,14 +153,16 @@ def parse_shape(spec: str) -> BoundaryCurve:
 
 def _log_weights(n: int) -> np.ndarray:
     """R - h L (n x n).  R_l integrates f(tau) ln(4 sin^2((t_i - tau)/2)) exactly
-    for trigonometric polynomials f of degree < n/2."""
-    l = np.arange(n)
+    for trigonometric polynomials f of degree < n/2.  The table is v_((i - j) mod n),
+    with v_l for l <= n/2 and v_(n - l) = v_l, so that the mirror maps i -> -i and
+    i -> n/2 - i leave it bitwise unchanged."""
+    l = np.arange(n // 2 + 1)
     m = np.arange(1, n // 2)
-    w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
-    w = w - (4.0 * np.pi / n**2) * np.cos(np.pi * l)
-    t = 2.0 * np.pi * l / n
-    log = np.log(4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2 + np.eye(n))
-    return w[np.abs(l[:, None] - l[None, :])] - (2.0 * np.pi / n) * log
+    v = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
+    v -= (4.0 * np.pi / n**2) * np.cos(np.pi * l)
+    v -= (2.0 * np.pi / n) * np.log(4.0 * np.sin(np.pi * l / n) ** 2 + (l == 0))
+    i = np.arange(n)
+    return np.concatenate([v, v[-2:0:-1]])[(i[:, None] - i[None, :]) % n]
 
 
 @dataclass(frozen=True, eq=False)

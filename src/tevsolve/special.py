@@ -65,24 +65,26 @@ def _finite_or_raise(value, what: str):
     return value
 
 
-def kernel_table(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_table(r) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The table of a real matrix r for ``table=``, read-only: the flat index of
     the first entry of each class of equal entries, in ascending order, each entry's
-    class (r's shape), and the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE,
-    at the classes' values rho (2.4 MB for the 7,261 classes of the ellipse at N = 240)."""
+    class (r's shape), the basis T_j(2 (rho/rho_max)^2 - 1), j <= FIT_DEGREE, at the
+    classes' values rho (2.4 MB for the 7,261 classes of the ellipse at N = 240), and
+    ln(rho/rho_max), from which the fit forms ln(z/2) = ln(z_max/2) + ln(rho/rho_max)."""
     rho, reps, inverse = np.unique(r, return_index=True, return_inverse=True)
     basis = np.polynomial.chebyshev.chebvander(2.0 * (rho / rho[-1]) ** 2 - 1.0, FIT_DEGREE)
-    table = reps, inverse.reshape(np.shape(r)), basis
+    table = reps, inverse.reshape(np.shape(r)), basis, np.log(rho / rho[-1])
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _fitted(m: int, z: np.ndarray, basis, kernel):
+def _fitted(m: int, z: np.ndarray, basis, logs, kernel):
     """kernel(m, z), J_m or H1_m, at the representatives z by the Chebyshev fit of
-    A_m and B_m (module docstring); None where the fit's last two coefficients and
-    its rounding, in units of z^m times the kernel, exceed _FIT_RTOL of its largest,
-    and for H1_1 above im(z_max) = 2.5, where the rounding of J_1 + i Y_1 outgrows it."""
+    A_m and B_m (module docstring), from the table's basis and logs; None where the
+    fit's last two coefficients and its rounding, in units of z^m times the kernel,
+    exceed _FIT_RTOL of its largest, and for H1_1 above im(z_max) = 2.5, where the
+    rounding of J_1 + i Y_1 outgrows it."""
     hankel = kernel.__name__ == "hankel1"
     z = _hankel_argument(m, z) if hankel else _check_argument(z)
     nodes, c, log = z[-1] * _FIT_FRACTIONS, 2.0 / math.pi, 0.0
@@ -107,7 +109,7 @@ def _fitted(m: int, z: np.ndarray, basis, kernel):
     a, *b = (basis @ coef).view(values.dtype).T
     out = zs * a
     if hankel:
-        out = out + 1j * (c * np.log(z / 2.0) * out - m * c / z + zs * b[0])
+        out = out + 1j * (c * (np.log(z[-1] / 2.0) + logs) * out - m * c / z + zs * b[0])
     return _finite_or_raise(out, f"{kernel.__name__}_{m}")
 
 
@@ -129,11 +131,11 @@ def _on_table(kernel):
         if table is None:
             return kernel(m, z)
         z = np.asarray(z)
-        reps, inverse, basis = table
+        reps, inverse, *fit_table = table
         values, fit = np.take(z, reps), None
         # the fit's fixed cost is that of Amos on ~200 representatives
         if m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
-            fit = _fitted(m, values, basis, kernel)
+            fit = _fitted(m, values, *fit_table, kernel)
         values = kernel(m, values) if fit is None else fit
         # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
         # an out of z's shape rejects a table that does not fit z

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.special as sp
 
-from tevsolve import bie, special
+from tevsolve import bie, linalg, special
 
 
 @pytest.fixture
@@ -26,5 +27,16 @@ def trace_ratios(monkeypatch):
     thread)."""
     built = []
     original = bie._trace_ratio
-    monkeypatch.setattr(bie, "_trace_ratio", lambda s, k: built.append(k) or original(s, k))
+    monkeypatch.setattr(bie, "_trace_ratio",
+                        lambda s, k, classes: built.append(k) or original(s, k, classes))
     return built
+
+
+@pytest.fixture
+def node_matrix():
+    """The dense matrix, in the basis of the nodes, of a :class:`linalg.BlockDiag`
+    (Q diag(blocks) Q^T, Q the class basis), as bie's M(z) and trace ratios are."""
+    def dense(M: linalg.BlockDiag) -> np.ndarray:
+        D = sla.block_diag(*M.blocks)
+        return D if M.basis is None else M.basis @ D @ M.basis.T
+    return dense

@@ -224,10 +224,10 @@ class TestDiskBoundaryProblem:
         barrier = threading.Barrier(2, timeout=30)
         original = bie._trace_ratio
 
-        def paired(curve, k):
+        def paired(curve, k, classes):
             if k not in nodes:
                 barrier.wait()
-            return original(curve, k)
+            return original(curve, k, classes)
 
         monkeypatch.setattr(bie, "_trace_ratio", paired)
         out = beyn_solve(nep, contour, BeynConfig(), jobs=2)

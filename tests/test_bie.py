@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sp
 
 from tevsolve import bie, linalg, special
-from tevsolve.beyn import ContourSpec
+from tevsolve.beyn import BeynConfig, ContourSpec, beyn_solve
 from tevsolve.bie import (
     HelmholtzNep,
     assemble_adjoint_double_layer,
@@ -133,13 +133,18 @@ ASYMMETRIC = make_curve("trig", xc=(0.1, 1.0, 0.2, 0.05), xs=(0.0, 0.1, 0.07, 0.
 def _log_split_reference(s, k):
     """S_k and K^T_k by the log split as first written: each kernel split as
     smooth * log + rest, the smooth part weighted by R, the rest by the trapezoid
-    rule, with table=None, from the nodes and normals alone."""
+    rule, with table=None, from the nodes and normals alone.  R_l and the log
+    factor are taken at l = min(|i - j|, n - |i - j|), as geometry's table is:
+    K^T_k cancels above the real axis, and a table rounded otherwise moves it by
+    up to 9e-14 of its largest entry at k = 1 + 1.5i."""
     n, speed, h = s.n, s.speeds, 2.0 * np.pi / s.n
     l = np.arange(n)
     m = np.arange(1, n // 2)
     w = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(l, m) / n) / m).sum(axis=1)
-    weights = (w - (4.0 * np.pi / n**2) * np.cos(np.pi * l))[np.abs(l[:, None] - l[None, :])]
-    log = np.log(4.0 * np.sin((s.t[:, None] - s.t[None, :]) / 2.0) ** 2 + np.eye(n))
+    d = np.abs(l[:, None] - l[None, :])
+    d = np.minimum(d, n - d)
+    weights = (w - (4.0 * np.pi / n**2) * np.cos(np.pi * l))[d]
+    log = np.log(4.0 * np.sin(np.pi * d / n) ** 2 + np.eye(n))
 
     def split(smooth, full, smooth_diag, rest_diag):
         rest = full - smooth * log
@@ -175,7 +180,7 @@ class TestSymmetricKernels:
         # special's fold contract: z = k (r + I) is bitwise constant on each class,
         # and the representatives ascend in radius, so the last is at rho_max
         s = self._sample(shape, n)
-        reps, inverse, _ = s.nystrom[4]
+        reps, inverse = s.nystrom[4][:2]
         rho = np.take(s.nystrom[0], reps)
         assert np.all(np.diff(rho) > 0) and rho[-1] == s.nystrom[0].max()
         for k in self.KS:
@@ -194,15 +199,15 @@ class TestSymmetricKernels:
             monkeypatch.setattr(bie, "hankel1", lambda m, z, table: special.hankel1(m, z, fold))
             monkeypatch.setattr(bie, "bessel_j", lambda m, z, table: special.bessel_j(m, z, fold))
             nep = HelmholtzNep(s, EX34)
-            return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k), nep(k))
-                    for k in self.KS]
+            return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k),
+                     *nep(k).blocks) for k in self.KS]
 
         for with_fold, without in zip(operators(s.nystrom[4]), operators(None)):
             for a, b in zip(with_fold, without):
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape, n", INPUTS)
-    def test_fused_assembly_matches_the_log_split(self, shape, n):
+    def test_fused_assembly_matches_the_log_split(self, shape, n, node_matrix):
         s = self._sample(shape, n)
         for k in self.KS:
             S, K = _log_split_reference(s, k)
@@ -210,7 +215,7 @@ class TestSymmetricKernels:
                               (assemble_adjoint_double_layer(s, k), K)):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             P = linalg.solve_right(0.5 * np.eye(s.n) + K, S)
-            got = bie._trace_ratio(s, k)
+            got = node_matrix(bie._trace_ratio(s, k, bie._mirror_classes(s)))
             assert np.max(np.abs(got - P)) <= 1e-13 * np.max(np.abs(P))
 
     @pytest.mark.parametrize("shape, n", INPUTS)
@@ -276,11 +281,11 @@ class TestAssembleM:
         sv = linalg.singular_values(M)
         assert sv[-1] <= 1e-3 * sv[0]
 
-    def test_identical_media_give_zero_operator(self):
+    def test_identical_media_give_zero_operator(self, node_matrix):
         s = sample(parse_shape("circle:r=1"), 64)
         p = MaterialParams(n=1.0, eta=0.0, lam=1.0)
         M = HelmholtzNep(s, p)(1.7)
-        assert np.linalg.norm(M) <= 1e-10
+        assert np.linalg.norm(node_matrix(M)) <= 1e-10
 
     def test_interior_resonance_detected(self):
         # k at the first Dirichlet wavenumber of the unit disk makes S_k singular
@@ -310,7 +315,7 @@ class TestAssembleM:
 
 
 class TestHelmholtzNep:
-    def test_matches_direct_assembly(self):
+    def test_matches_direct_assembly(self, node_matrix):
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
         nep = HelmholtzNep(s, EX34)
         z = 1.2 + 0.1j
@@ -319,7 +324,7 @@ class TestHelmholtzNep:
             return linalg.solve_right(neumann_trace_matrix(s, k), assemble_single_layer(s, k))
 
         ref = EX34.lam * trace_ratio(z * EX34.sqrt_n) - trace_ratio(z) - EX34.eta * np.eye(s.n)
-        assert np.allclose(nep(z), ref, atol=1e-13)
+        assert np.allclose(node_matrix(nep(z)), ref, atol=1e-13)
 
     def test_sample_tables_built_before_the_pool(self):
         # the pool's threads then only read them, and never build them twice
@@ -328,15 +333,16 @@ class TestHelmholtzNep:
         assert "nystrom" in vars(s)
 
     def test_matrix_bitwise_equal_to_the_identity_form(self):
-        # M(z) is formed in place; its bits, signed zeros included, are those of
-        # lam P_w - P_v - eta I
+        # M(z) is formed in place, block by block; its bits, signed zeros
+        # included, are those of lam P_w - P_v - eta I
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
         for params in (EX34, MaterialParams(n=2.0, eta=0.3, lam=0.5)):
             nep = HelmholtzNep(s, params)
             for z in (1.2 + 0.1j, 2.5 - 0.05j):
                 P_w, P_v = nep._ratio(z * params.sqrt_n), nep._ratio(z)
-                want = params.lam * P_w - P_v - params.eta * np.eye(s.n)
-                assert np.array_equal(nep(z).view(np.uint64), want.view(np.uint64))
+                for got, w, v in zip(nep(z).blocks, P_w.blocks, P_v.blocks):
+                    want = params.lam * w - v - params.eta * np.eye(len(v))
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_copies_share_one_unbounded_memo(self, trace_ratios):
         # a ratio built through one copy is a hit for the others, and nothing
@@ -385,17 +391,110 @@ class TestHelmholtzNep:
         for nep, jobs in zip(neps, (1, 2)):
             nep.prefetch(zs, jobs)
         for z in zs:
-            assert np.array_equal(neps[0](z), neps[1](z))
+            for a, b in zip(neps[0](z).blocks, neps[1](z).blocks, strict=True):
+                assert np.array_equal(a, b)
 
-    def test_cache_shared_across_parameters(self):
+    def test_cache_shared_across_parameters(self, node_matrix):
         s = sample(parse_shape("circle:r=1"), 64)
         nep = HelmholtzNep(s, EX34)
         nep(1.5)
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
         assert other._ratios is nep._ratios
         # lam enters only as a scalar weight: M_lam3 - M_lam2 = P_w
-        d = other(1.5) - nep(1.5)
+        d = node_matrix(other(1.5)) - node_matrix(nep(1.5))
         s1 = assemble_single_layer(s, 1.5 * EX34.sqrt_n)
         a1 = neumann_trace_matrix(s, 1.5 * EX34.sqrt_n)
         p_w = linalg.solve_right(a1, s1)
         assert np.allclose(d, p_w, atol=1e-12)
+
+
+class _NodeBasisNep:
+    """M(z) in the basis of the nodes, from whole N x N trace ratios: the family
+    as it was before the class basis, for comparison."""
+
+    def __init__(self, s, params, ratios):
+        self.s, self.params, self.dim, self._ratios = s, params, s.n, ratios
+
+    def _ratio(self, k):
+        if k not in self._ratios:
+            self._ratios[k] = linalg.solve_right(neumann_trace_matrix(self.s, k),
+                                                 assemble_single_layer(self.s, k))
+        return self._ratios[k]
+
+    def __call__(self, z):
+        p = self.params
+        return p.lam * self._ratio(z * p.sqrt_n) - self._ratio(z) - p.eta * np.eye(self.dim)
+
+
+class TestClassBasis:
+    @pytest.mark.parametrize("shape, n, sizes", [
+        ("ellipse:a=1,b=1.2", 240, [61, 60, 60, 59]),
+        ("ellipse:a=1,b=1.2", 122, [31, 30, 31, 30]),
+        ("kite", 120, [61, 59]),
+        ("circle:r=1", 32, [9, 8, 8, 7]),
+        ("trig", 240, [240]),
+    ])
+    def test_class_sizes(self, shape, n, sizes):
+        # the mirror maps i -> -i and i -> N/2 - i: both for the ellipse and the
+        # circle, the first for the kite, none for the asymmetric trig curve,
+        # whose one block is M(z) itself
+        s = TestSymmetricKernels._sample(shape, n)
+        classes, basis = bie._mirror_classes(s)
+        M = HelmholtzNep(s, EX34)(1.3 + 0.2j)
+        assert [len(b) for b in M.blocks] == [len(c[0]) for c in classes] == sizes
+        assert (basis is None) == (M.basis is None) == (len(sizes) == 1)
+        if basis is not None:
+            basis = basis.toarray()
+            assert np.array_equal(M.basis.toarray(), basis)
+            # the blocks are gathered from the first N/4 + 1 rows (N/2 + 1 for the kite)
+            assert max(max(c[0]) for c in classes) == n // len(sizes)
+            assert np.allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape, n", [("ellipse:a=1,b=1.2", 240), ("ellipse:a=1,b=1.2", 122),
+                                          ("kite", 120), ("circle:r=1", 32)])
+    def test_blocks_are_the_class_basis_form(self, shape, n):
+        # S_k and I/2 + K^T_k commute with the mirror maps bitwise, so Q^T A Q is
+        # block diagonal: its blocks are the gathered ones, and the rest is the
+        # rounding of the dense product, far below the blocks' own
+        s = TestSymmetricKernels._sample(shape, n)
+        classes = bie._mirror_classes(s)
+        Q = classes[1].toarray()
+        entries = {2 ** -0.5, 1.0} if len(classes[0]) == 2 else {0.5, 2 ** -0.5}
+        assert set(np.round(np.abs(Q[Q != 0]), 15)) == {round(e, 15) for e in entries}
+        for k in (1.3 + 0.2j, 2.7 - 0.15j):
+            for A in (assemble_single_layer(s, k), neumann_trace_matrix(s, k)):
+                dense, row = Q.T @ A @ Q, 0
+                for block in bie._class_blocks(A, classes).blocks:
+                    m = len(block)
+                    assert np.max(np.abs(dense[row:row + m, row:row + m] - block)) <= (
+                        1e-15 * np.max(np.abs(A)))
+                    dense[row:row + m, row:row + m] = 0.0
+                    row += m
+                assert np.max(np.abs(dense)) <= 1e-15 * np.max(np.abs(A))
+
+    def test_block_beyn_matches_node_basis_beyn(self):
+        # criterion 5's contour and probes, at N = 120: the class basis is
+        # orthogonal, so the moments' singular values, the rank and the reduced
+        # matrix are those of the node basis up to rounding, and so are the
+        # eigenvalues, doubles included
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 120)
+        contour, cfg = ContourSpec(2.5, 0.5, 24), BeynConfig(probe_columns=24)
+        family, ratios = HelmholtzNep(s, MaterialParams(4.0, 1.0, 1.0)), {}
+        for lam in (0.875, 1.0, 1.125):
+            params = MaterialParams(4.0, 1.0, lam)
+            got = beyn_solve(family.with_params(params), contour, cfg, jobs=2)
+            want = beyn_solve(_NodeBasisNep(s, params, ratios), contour, cfg, jobs=2)
+            assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
+            assert len(got) >= 3
+            assert max(abs(a.k - b.k) for a, b in zip(got, want)) <= 1e-10
+
+    @pytest.mark.parametrize("m, block", [(0, 0), (1, 1), (2, 0)])
+    def test_interior_resonance_in_its_class(self, m, block):
+        # the circle at N = 120 (classes of 31, 30, 31 and 30 rows): S_k is singular
+        # at j_{m,1} in the classes of cos(m t) and sin(m t), and the pivot gate
+        # against ||S_k||_F fails in the first of them
+        s = sample(parse_shape("circle:r=1"), 120)
+        with pytest.raises(InteriorResonance) as exc:
+            HelmholtzNep(s, MaterialParams(1.0, -0.01, 2.0))(bessel_j_positive_root(m, 1))
+        rows = np.cumsum([0, 31, 30, 31, 30])
+        assert rows[block] <= exc.value.__cause__.pivot_index < rows[block + 1]

@@ -1,8 +1,15 @@
 """Contract tests for the dense linear-algebra layer."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import tevsolve
 from tevsolve import linalg
 from tevsolve.errors import SingularMatrix
 
@@ -114,3 +121,92 @@ class TestEigDense:
         v1 = np.sort_complex(linalg.eig_dense(A))
         v2 = np.sort_complex(linalg.eig_dense(P @ A @ P.T))
         assert np.allclose(v1, v2, atol=1e-8 * np.linalg.norm(A))
+
+
+class TestSharedFactors:
+    def test_two_threads_apply_one_factorization(self):
+        # scipy's getrs wrapper shifts the pivot array in place around its call;
+        # without a copy per call, two threads on one (lu, piv) corrupt the heap
+        # (glibc aborts) or return wrong solutions, so the run is its own process
+        code = textwrap.dedent("""
+            import threading
+            import numpy as np
+            from tevsolve import linalg
+            rng = np.random.default_rng(0)
+            A = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)) + 60 * np.eye(60)
+            B = rng.standard_normal((60, 3)) + 0j
+            factors = linalg.lu_factor(A)
+            want = linalg.lu_apply(factors, B)
+            bad = []
+            def work():
+                bad.extend(not np.array_equal(linalg.lu_apply(factors, B), want) for _ in range(1000))
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            print(sum(bad))
+        """)
+        src = os.path.dirname(os.path.dirname(tevsolve.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr[-500:]
+        assert run.stdout.strip() == "0"
+
+
+class TestBlockDiag:
+    SIZES = (5, 4, 4, 3)
+
+    @pytest.fixture
+    def pair(self):
+        """A BlockDiag Q diag(B) Q^T on a random orthogonal basis, and its dense matrix."""
+        rng = np.random.default_rng(7)
+        blocks = [random_complex(rng, m, m) + 3 * np.eye(m) for m in self.SIZES]
+        Q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        return linalg.BlockDiag(blocks, Q), Q @ sla.block_diag(*blocks) @ Q.T
+
+    def test_products_act_as_the_dense_matrix(self, pair):
+        A, dense = pair
+        rng = np.random.default_rng(8)
+        x, X = random_complex(rng, 16), random_complex(rng, 16, 3)
+        assert A.shape == (16, 16)
+        assert np.allclose(A @ x, dense @ x, atol=1e-13)
+        assert np.allclose(A @ X, dense @ X, atol=1e-13)
+        assert np.allclose(x @ A, x @ dense, atol=1e-13)
+
+    def test_solves_act_as_on_the_dense_matrix(self, pair):
+        A, dense = pair
+        rng = np.random.default_rng(9)
+        B = random_complex(rng, 16, 3)
+        factors = linalg.lu_factor(A)
+        assert isinstance(factors[0], linalg.BlockDiag) and len(factors[1]) == 4
+        for trans in (0, 1):
+            X = linalg.lu_apply(factors, B, trans=trans)
+            assert np.allclose((dense.T if trans else dense) @ X, B, atol=1e-12)
+        # a BlockDiag right-hand side in the same basis is solved block by block
+        C = linalg.BlockDiag([random_complex(rng, m, m) for m in self.SIZES], A.basis)
+        X = linalg.solve_right(C, A)
+        assert isinstance(X, linalg.BlockDiag) and X.basis is A.basis
+        for x, c, a in zip(X.blocks, C.blocks, A.blocks):
+            assert np.allclose(x @ a, c, atol=1e-12)
+
+    def test_svd_keeps_the_blocks_factors(self, pair):
+        A, dense = pair
+        U, s, W = linalg.svd(A)
+        assert np.allclose(s, np.linalg.svd(dense, compute_uv=False), rtol=1e-13)
+        assert np.allclose(linalg.singular_values(A), s, rtol=1e-14)
+        assert isinstance(U, linalg.BlockDiag) and isinstance(W, linalg.BlockDiag)
+        assert [u.shape for u in U.blocks] == [(m, m) for m in self.SIZES]
+        for j in (0, 7, -1):
+            assert np.allclose(dense @ W[:, j], s[j] * U[:, j], atol=1e-12)
+            assert np.linalg.norm(U[:, j]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_pivot_gate_counts_the_stacked_rows_and_whole_norm(self):
+        # the third block is singular: its pivot 1 is row 5 + 4 + 1 of the stack,
+        # and the gate compares against the norm of all blocks together
+        blocks = [np.eye(5), 2 * np.eye(4), np.array([[1.0, 2.0], [2.0, 4.0]])]
+        with pytest.raises(SingularMatrix) as exc:
+            linalg.lu_factor(linalg.BlockDiag(blocks))
+        assert exc.value.pivot_index == 10
+        assert exc.value.tol == pytest.approx(1e-14 * np.sqrt(5 + 16 + 25))
