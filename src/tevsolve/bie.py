@@ -45,6 +45,11 @@ the ellipse at N = 240, 61 and 59 for the kite at N = 120.  The blocks of S_k
 and I/2 + K^T_k are gathered from the first N/4 + 1 rows of the assembly, each
 trace ratio is solved and memoised block by block, and M(k) is the
 linalg.BlockDiag Q diag(blocks) Q^T, on which Beyn runs as on the dense matrix.
+
+HelmholtzNep owns the N x N memory of the assembly: each family keeps a list of
+workspaces, (4, N, N) complex arrays for z = k r, H1_m(z), S_k and I/2 + K^T_k
+(3.7 MB at N = 240), one per thread that builds its ratios at once, so at most
+``jobs``, freed with the family.  Without one the assembly returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -77,47 +82,58 @@ def _tables(s: CurveSample):
     return s.nystrom
 
 
-def _kernel_pair(m: int, z: np.ndarray, table, a: np.ndarray, b) -> np.ndarray:
-    """J_m(z) * a + H1_m(z) * b."""
-    out = bessel_j(m, z, table=table) * a
-    out += hankel1(m, z, table=table) * b
+_FRESH = (None,) * 4
+
+
+def _kernel_pair(m: int, k: complex, r: np.ndarray, table, a: np.ndarray, b,
+                 work, slot: int) -> np.ndarray:
+    """J_m(k r) * a + H1_m(k r) * b, in work[slot] of a workspace (z = k r in
+    work[0], H1_m(z) * b in work[1]), or fresh for work None; bitwise equal."""
+    w = _FRESH if work is None else work
+    z = np.multiply(r, k, out=w[0])
+    out = bessel_j(m, z, table=table, out=w[slot])
+    out *= a
+    tmp = hankel1(m, z, table=table, out=w[1])
+    tmp *= b
+    out += tmp
     return out
 
 
-def assemble_single_layer(sample: CurveSample, k: complex) -> np.ndarray:
+def assemble_single_layer(sample: CurveSample, k: complex, work=None) -> np.ndarray:
     """N x N Nystrom matrix of the single-layer operator S_k on the sample.
 
     Kernel (i/4) H1_0(k r) |x'(tau)|; the diagonal of the smooth part carries
     the analytic limit (i/4 - gamma/(2 pi) - ln(k |x'(t)|/2)/(2 pi)) |x'(t)|.
+    With a (4, N, N) complex ``work``space (HelmholtzNep's), S_k is work[2].
     """
     k = _check_wavenumber(k)
     r_safe, a_s, _, _, table = _tables(sample)
     sp, h = sample.speeds, 2.0 * np.pi / sample.n
-    S = _kernel_pair(0, k * r_safe, table, a_s, (0.25j * h) * sp)
+    S = _kernel_pair(0, k, r_safe, table, a_s, (0.25j * h) * sp, work, 2)
     limit = (0.25j - np.euler_gamma / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
     np.fill_diagonal(S, np.diagonal(a_s) + h * limit)  # a_s_ii = -R_0 sp_i / (4 pi)
     return S
 
 
-def assemble_adjoint_double_layer(sample: CurveSample, k: complex) -> np.ndarray:
+def assemble_adjoint_double_layer(sample: CurveSample, k: complex, work=None) -> np.ndarray:
     """N x N Nystrom matrix of the adjoint double-layer operator K^T_k.
 
     Kernel -(ik/4) H1_1(k r) (nu(t) . (x(t)-x(tau))) / r * |x'(tau)|, split the
     same way; the diagonal is h times the curvature limit -kappa(t) |x'(t)| / (4 pi)
     of the static part (the wavenumber-dependent remainder vanishes on the
-    diagonal).
+    diagonal).  With a ``work``space, K^T_k is work[3].
     """
     k = _check_wavenumber(k)
     r_safe, _, a_k, b_k, table = _tables(sample)
-    K = _kernel_pair(1, k * r_safe, table, a_k, b_k)
+    K = _kernel_pair(1, k, r_safe, table, a_k, b_k, work, 3)
     K *= k
     np.fill_diagonal(K, (-0.5 / sample.n) * sample.curvatures * sample.speeds)  # h/(4 pi) = 1/(2N)
     return K
 
 
-def neumann_trace_matrix(sample: CurveSample, k: complex) -> np.ndarray:
+def neumann_trace_matrix(sample: CurveSample, k: complex, work=None) -> np.ndarray:
     """Interior Neumann trace of the single-layer potential: I/2 + K^T_k."""
-    A = assemble_adjoint_double_layer(sample, k)
+    A = assemble_adjoint_double_layer(sample, k, work)
     A.flat[::sample.n + 1] += 0.5
     return A
 
@@ -128,8 +144,9 @@ _RESONANCE_PIVOT_RTOL = 1.0e-12
 def _mirror_classes(s: CurveSample):
     """The classes of the group G of i -> -i and i -> N/2 - i, each map only where
     it leaves the arrays the assembly reads bitwise unchanged: per character chi,
-    the orbit representatives i <= N/4 that chi allows, their images g(i) and
-    chi(g) w_i w_j, w_i = |stabiliser of i|^(-1/2); and the basis Q, chi(g) /
+    the orbit representatives i <= N/4 that chi allows, the flat indices i N + g(j)
+    in A of the block's terms and chi(g) w_i w_j, w_i = |stabiliser of i|^(-1/2),
+    each of shape (|G|, n_chi, n_chi); and the basis Q, chi(g) /
     (w_i sqrt|G|) at node g(i) of column i (sparse), or None when no map counts."""
     import scipy.sparse  # here, so that only a boundary-integral run loads it
 
@@ -144,7 +161,8 @@ def _mirror_classes(s: CurveSample):
     for chi in hadamard(len(maps)):
         keep = chi @ fixed != 0  # chi is 1 on the stabiliser
         w, images = 1.0 / np.sqrt(fixed[:, keep].sum(axis=0)), maps[:, reps[keep]]
-        classes.append((reps[keep], images, chi[:, None, None] * np.outer(w, w)))
+        flat = reps[keep][None, :, None] * n + images[:, None, :]
+        classes.append((reps[keep], flat, chi[:, None, None] * np.outer(w, w)))
         basis[images, col + np.arange(len(w))] = chi[:, None] / (w * np.sqrt(len(maps)))
         col += len(w)
     # sparse, |G| entries a column: products with Q stay off the threaded BLAS
@@ -157,11 +175,11 @@ def _class_blocks(A: np.ndarray, classes) -> linalg.BlockDiag:
     classes, basis = classes
     if basis is None:
         return linalg.BlockDiag([A])
-    return linalg.BlockDiag([(A[reps[None, :, None], images[:, None, :]] * coef).sum(axis=0)
-                             for reps, images, coef in classes], basis)
+    return linalg.BlockDiag([(np.take(A, flat, mode="clip") * coef).sum(axis=0)
+                             for _, flat, coef in classes], basis)
 
 
-def _trace_ratio(sample: CurveSample, k: complex, classes) -> linalg.BlockDiag:
+def _trace_ratio(sample: CurveSample, k: complex, classes, work=None) -> linalg.BlockDiag:
     """P(k) = (I/2 + K^T_k) S_k^{-1}, the Neumann-for-Dirichlet map of the
     single-layer ansatz, in the class basis: one ratio per block.  Raises
     InteriorResonance when S_k is singular.
@@ -170,11 +188,10 @@ def _trace_ratio(sample: CurveSample, k: complex, classes) -> linalg.BlockDiag:
     pivoting inflates the last pivot of a near-singular S_k by a couple of
     orders of magnitude; legitimate wavenumbers (off the real axis, as the
     contour quadrature nodes are) keep S_k conditioned far above this gate.
-    It is taken against ||S_k||_F, which the class basis keeps.
+    It is taken against ||S_k||_F, which the class basis keeps.  S_k and
+    I/2 + K^T_k are assembled in ``work`` when given; the ratio never shares its memory.
     """
-    # both full matrices live through the solve: freed before it, their pages went
-    # back to the system after every ratio (twice the minor faults on the ellipse)
-    S_full, A_full = assemble_single_layer(sample, k), neumann_trace_matrix(sample, k)
+    S_full, A_full = assemble_single_layer(sample, k, work), neumann_trace_matrix(sample, k, work)
     S, A = _class_blocks(S_full, classes), _class_blocks(A_full, classes)
     try:
         return linalg.solve_right(A, S, pivot_rtol=_RESONANCE_PIVOT_RTOL)
@@ -192,13 +209,17 @@ class HelmholtzNep:
     another node's k, reuse them.  The memo is a dict shared by the copies that
     with_params makes.  Only retain drops ratios, and the studies make one
     family per contour, so each ratio is freed with its contour at the latest.
+
+    Each ratio is assembled in a workspace (module docstring) from a list that
+    the copies share as they share the memo: it takes a free one, or makes one
+    when none is free, and gives it back when the ratio is built.
     """
 
     def __init__(self, sample: CurveSample, params: MaterialParams):
         self.sample = sample
         self.params = params
         self._classes = _mirror_classes(sample)  # and the tables, before a pool shares them
-        self._ratios = {}
+        self._ratios, self._workspaces = {}, []
 
     @property
     def dim(self) -> int:
@@ -215,7 +236,14 @@ class HelmholtzNep:
         # threads may build one ratio, as with functools.cache, so prefetch dedups
         ratio = self._ratios.get(k)
         if ratio is None:
-            ratio = self._ratios[k] = _trace_ratio(self.sample, k, self._classes)
+            try:  # list.pop is atomic, a test of the list then a pop is not
+                work = self._workspaces.pop()
+            except IndexError:
+                work = np.empty((4, self.dim, self.dim), complex)
+            try:
+                ratio = self._ratios[k] = _trace_ratio(self.sample, k, self._classes, work)
+            finally:
+                self._workspaces.append(work)
         return ratio
 
     def _wavenumbers(self, zs) -> dict:

@@ -125,11 +125,15 @@ def _b_series(m: int, z):
 
 def _on_table(kernel):
     """kernel(m, z), or with a table, kernel(m, z.flat[reps]) spread over z's
-    shape by inverse: by :func:`_fitted` where the fit holds, else from Amos."""
+    shape by inverse: by :func:`_fitted` where the fit holds, else from Amos.
+    ``out``, of z's shape and the result's dtype, receives the values if given."""
     @wraps(kernel)
-    def folded(m, z, table=None):
+    def folded(m, z, table=None, out=None):
         if table is None:
-            return kernel(m, z)
+            if out is None:
+                return kernel(m, z)
+            out[...] = kernel(m, z)
+            return out
         z = np.asarray(z)
         reps, inverse, *fit_table = table
         values, fit = np.take(z, reps), None
@@ -137,9 +141,10 @@ def _on_table(kernel):
         if m in (0, 1) and values.size >= 5 * (FIT_DEGREE + 1):
             fit = _fitted(m, values, *fit_table, kernel)
         values = kernel(m, values) if fit is None else fit
-        # np.take, not values[inverse], whose SIMD rounding can depend on alignment;
-        # an out of z's shape rejects a table that does not fit z
-        return np.take(values, inverse, out=np.empty(z.shape, values.dtype))
+        # mode="clip" (inverse is in range) keeps np.take from buffering out; an out
+        # of z's shape rejects a table that does not fit z
+        out = np.empty(z.shape, values.dtype) if out is None else out
+        return np.take(values, inverse, out=out, mode="clip")
     return folded
 
 

@@ -28,7 +28,7 @@ def trace_ratios(monkeypatch):
     built = []
     original = bie._trace_ratio
     monkeypatch.setattr(bie, "_trace_ratio",
-                        lambda s, k, classes: built.append(k) or original(s, k, classes))
+                        lambda s, k, classes, work: built.append(k) or original(s, k, classes, work))
     return built
 
 

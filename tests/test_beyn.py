@@ -224,10 +224,10 @@ class TestDiskBoundaryProblem:
         barrier = threading.Barrier(2, timeout=30)
         original = bie._trace_ratio
 
-        def paired(curve, k, classes):
+        def paired(curve, k, classes, work):
             if k not in nodes:
                 barrier.wait()
-            return original(curve, k, classes)
+            return original(curve, k, classes, work)
 
         monkeypatch.setattr(bie, "_trace_ratio", paired)
         out = beyn_solve(nep, contour, BeynConfig(), jobs=2)

@@ -2,6 +2,8 @@
 the assembled eigenvalue matrix, and resonance detection."""
 
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,8 +198,10 @@ class TestSymmetricKernels:
         monkeypatch.setattr(special, "_fitted", lambda *args: None)
 
         def operators(fold):
-            monkeypatch.setattr(bie, "hankel1", lambda m, z, table: special.hankel1(m, z, fold))
-            monkeypatch.setattr(bie, "bessel_j", lambda m, z, table: special.bessel_j(m, z, fold))
+            monkeypatch.setattr(bie, "hankel1",
+                                lambda m, z, table, out: special.hankel1(m, z, fold, out))
+            monkeypatch.setattr(bie, "bessel_j",
+                                lambda m, z, table, out: special.bessel_j(m, z, fold, out))
             nep = HelmholtzNep(s, EX34)
             return [(assemble_single_layer(s, k), assemble_adjoint_double_layer(s, k),
                      *nep(k).blocks) for k in self.KS]
@@ -406,6 +410,74 @@ class TestHelmholtzNep:
         a1 = neumann_trace_matrix(s, 1.5 * EX34.sqrt_n)
         p_w = linalg.solve_right(a1, s1)
         assert np.allclose(d, p_w, atol=1e-12)
+
+
+def _bitwise_equal(got: linalg.BlockDiag, want: linalg.BlockDiag) -> bool:
+    return all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(got.blocks, want.blocks, strict=True))
+
+
+class TestWorkspaces:
+    @pytest.mark.parametrize("shape, n", [("ellipse:a=1,b=1.2", 240), ("trig", 240)])
+    def test_reuse_leaves_a_built_ratio_bitwise_unchanged(self, shape, n):
+        # the next ratio built in a workspace leaves the last one as a fresh build
+        # gives it, also where the one block is the whole matrix (trig)
+        s = TestSymmetricKernels._sample(shape, n)
+        classes, work = bie._mirror_classes(s), np.empty((4, n, n), complex)
+        first = bie._trace_ratio(s, 1.3 + 0.2j, classes, work)
+        bie._trace_ratio(s, 2.7 - 0.15j, classes, work)
+        assert not any(np.shares_memory(block, work) for block in first.blocks)
+        assert _bitwise_equal(first, bie._trace_ratio(s, 1.3 + 0.2j, classes))
+        # S_k and I/2 + K^T_k of the last ratio are the workspace's
+        assert np.array_equal(work[2], assemble_single_layer(s, 2.7 - 0.15j))
+        assert np.array_equal(work[3], neumann_trace_matrix(s, 2.7 - 0.15j))
+
+    def test_prefetch_on_two_threads_makes_at_most_two(self):
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
+        nep = HelmholtzNep(s, EX34)
+        other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
+        other.prefetch(list(ContourSpec(2.5, 0.5, 16).nodes()), 2)
+        assert len(nep._ratios) == 32
+        # every workspace is back in the shared list once its ratio is built
+        assert other._workspaces is nep._workspaces and 1 <= len(nep._workspaces) <= 2
+
+    def test_threads_never_share_a_workspace(self):
+        # more threads than cores, switching often: two ratios built in one
+        # workspace at once would differ from those built one by one
+        s = sample(parse_shape("ellipse:a=1,b=1.2"), 64)
+        zs = list(ContourSpec(2.5, 0.5, 32).nodes())
+        serial, threaded = HelmholtzNep(s, EX34), HelmholtzNep(s, EX34)
+        serial.prefetch(zs, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded.prefetch(zs, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(threaded._workspaces) <= 4
+        assert all(_bitwise_equal(threaded._ratios[k], ratio) for k, ratio in serial._ratios.items())
+
+    def test_ratio_after_an_interior_resonance_is_bitwise_right(self):
+        s = sample(parse_shape("circle:r=1"), 96)
+        nep = HelmholtzNep(s, MaterialParams(1.0, -0.01, 2.0))
+        with pytest.raises(InteriorResonance):
+            nep._ratio(bessel_j_positive_root(0, 1))
+        assert len(nep._workspaces) == 1
+        assert _bitwise_equal(nep._ratio(1.3 + 0.2j), bie._trace_ratio(s, 1.3 + 0.2j, nep._classes))
+
+    def test_a_ratio_allocates_under_two_matrices(self):
+        # tracemalloc sees numpy's data: with the tables, the classes and a
+        # workspace built, one more ratio peaks below twice one N x N complex
+        # matrix (without a workspace, at 5.6 times one)
+        nep = HelmholtzNep(sample(parse_shape("ellipse:a=1,b=1.2"), 240), EX34)
+        nep._ratio(1.3 + 0.2j)
+        tracemalloc.start()
+        try:
+            nep._ratio(2.7 - 0.15j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 240**2
 
 
 class _NodeBasisNep:

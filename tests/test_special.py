@@ -273,6 +273,18 @@ class TestSymmetricFold:
                 kernel(m, z)
                 assert points == [144]
 
+    def test_out_receives_the_values(self):
+        # with a table and without: out is filled, returned, and of z's shape
+        z = _symmetric(12)
+        for kernel, scipy_kernel in self.KERNELS:
+            for m in (0, 1):
+                for table in (_classes(z), None):
+                    out = np.empty(z.shape, complex)
+                    assert kernel(m, z, table=table, out=out) is out
+                    assert np.array_equal(out, scipy_kernel(m, z))
+                with pytest.raises(ValueError):
+                    kernel(m, z, table=_classes(z), out=np.empty((12, 11), complex))
+
     def test_orbits_must_fit_the_argument(self):
         table = _classes(_symmetric(12))
         for kernel, _ in self.KERNELS:
