@@ -108,7 +108,7 @@ class NepEigenvalue:
     k: complex
     residual: float
     multiplicity: int
-    contour: ContourSpec | None = field(default=None, compare=False)
+    contour: ContourSpec = field(compare=False)
 
 
 def residual(nep, k: complex) -> float:
@@ -124,7 +124,8 @@ def beyn_solve(nep, contour: ContourSpec, cfg: BeynConfig = BeynConfig(),
     """Eigenvalues of the holomorphic family ``nep`` strictly inside ``contour``.
 
     ``nep`` maps z to a square complex matrix, an array or a linalg.BlockDiag
-    (HelmholtzNep's block-diagonal M(z)), and exposes ``dim``.  Returned
+    (HelmholtzNep's block-diagonal M(z)), and exposes ``dim``: the probe V has
+    ``dim`` rows in whatever coordinates M(z) is given in.  Returned
     eigenvalues are filtered to the open disk and to relative residual
     <= cfg.residual_tol.  Each one is polished by one Newton step on M (see
     _newton_polish), which squares the trapezoid error of the reduced problem.
@@ -231,7 +232,7 @@ def _newton_polish(nep, contour: ContourSpec, estimates: list[tuple[complex, flo
         z = estimates[i][0]
         U, s, W = linalg.svd(nep(z))
         x, y = W[:, -1], U[:, -1]
-        slope = (y.conj() @ nep(z + h) @ x - s[-1]) / h
+        slope = (y.conj() @ (nep(z + h) @ x) - s[-1]) / h
         return complex(z - s[-1] / slope)
 
     moves = [(i, z_new) for i, z_new in zip(todo, _map(step, todo, jobs))

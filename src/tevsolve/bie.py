@@ -44,7 +44,7 @@ maps (Allgower, Boehmer, Georg and Miranda 1992): 61, 60, 60 and 59 rows for
 the ellipse at N = 240, 61 and 59 for the kite at N = 120.  The blocks of S_k
 and I/2 + K^T_k are gathered from the first N/4 + 1 rows of the assembly, each
 trace ratio is solved and memoised block by block, and M(k) is the
-linalg.BlockDiag Q diag(blocks) Q^T, on which Beyn runs as on the dense matrix.
+linalg.BlockDiag of its blocks; Beyn draws its probe in these class coordinates.
 
 HelmholtzNep owns the N x N memory of the assembly: each family keeps a list of
 workspaces, (4, N, N) complex arrays for z = k r, H1_m(z), S_k and I/2 + K^T_k
@@ -143,13 +143,10 @@ _RESONANCE_PIVOT_RTOL = 1.0e-12
 
 def _mirror_classes(s: CurveSample):
     """The classes of the group G of i -> -i and i -> N/2 - i, each map only where
-    it leaves the arrays the assembly reads bitwise unchanged: per character chi,
-    the orbit representatives i <= N/4 that chi allows, the flat indices i N + g(j)
-    in A of the block's terms and chi(g) w_i w_j, w_i = |stabiliser of i|^(-1/2),
-    each of shape (|G|, n_chi, n_chi); and the basis Q, chi(g) /
-    (w_i sqrt|G|) at node g(i) of column i (sparse), or None when no map counts."""
-    import scipy.sparse  # here, so that only a boundary-integral run loads it
-
+    it leaves the arrays the assembly reads bitwise unchanged, or None when no map
+    does: per character chi, over the orbit representatives i <= N/4 that chi
+    allows, the flat indices i N + g(j) in A of the block's terms and
+    chi(g) w_i w_j, w_i = |stabiliser of i|^(-1/2), each of shape (|G|, n_chi, n_chi)."""
     n, i = s.n, np.arange(s.n)
     arrays = (*_tables(s)[:4], s.speeds, s.curvatures)
     maps = [i] + [p for p in (-i % n, (n // 2 - i) % n)
@@ -157,38 +154,34 @@ def _mirror_classes(s: CurveSample):
     maps = np.array(maps + [maps[1][maps[2]]] if len(maps) == 3 else maps)
     reps = np.nonzero(maps.min(axis=0) == i)[0]
     fixed = maps[:, reps] == reps
-    classes, basis, col = [], np.zeros((n, n)), 0
+    classes = []
     for chi in hadamard(len(maps)):
         keep = chi @ fixed != 0  # chi is 1 on the stabiliser
         w, images = 1.0 / np.sqrt(fixed[:, keep].sum(axis=0)), maps[:, reps[keep]]
         flat = reps[keep][None, :, None] * n + images[:, None, :]
-        classes.append((reps[keep], flat, chi[:, None, None] * np.outer(w, w)))
-        basis[images, col + np.arange(len(w))] = chi[:, None] / (w * np.sqrt(len(maps)))
-        col += len(w)
-    # sparse, |G| entries a column: products with Q stay off the threaded BLAS
-    return classes, scipy.sparse.csr_array(basis) if len(maps) > 1 else None
+        classes.append((flat, chi[:, None, None] * np.outer(w, w)))
+    return classes if len(maps) > 1 else None
 
 
 def _class_blocks(A: np.ndarray, classes) -> linalg.BlockDiag:
     """Q^T A Q for an A that commutes with the mirror group, gathered from A's rows
     at the representatives: block_chi[i, j] = w_i w_j sum_g chi(g) A[i, g(j)]."""
-    classes, basis = classes
-    if basis is None:
+    if classes is None:
         return linalg.BlockDiag([A])
-    return linalg.BlockDiag([(np.take(A, flat, mode="clip") * coef).sum(axis=0)
-                             for _, flat, coef in classes], basis)
+    return linalg.BlockDiag((np.take(A, flat, mode="clip") * coef).sum(axis=0)
+                            for flat, coef in classes)
 
 
 def _trace_ratio(sample: CurveSample, k: complex, classes, work=None) -> linalg.BlockDiag:
     """P(k) = (I/2 + K^T_k) S_k^{-1}, the Neumann-for-Dirichlet map of the
-    single-layer ansatz, in the class basis: one ratio per block.  Raises
+    single-layer ansatz, in the class coordinates: one ratio per block.  Raises
     InteriorResonance when S_k is singular.
 
     The pivot gate is looser than the generic LU tolerance because partial
     pivoting inflates the last pivot of a near-singular S_k by a couple of
     orders of magnitude; legitimate wavenumbers (off the real axis, as the
     contour quadrature nodes are) keep S_k conditioned far above this gate.
-    It is taken against ||S_k||_F, which the class basis keeps.  S_k and
+    It is taken against ||S_k||_F, which the orthogonal Q keeps.  S_k and
     I/2 + K^T_k are assembled in ``work`` when given; the ratio never shares its memory.
     """
     S_full, A_full = assemble_single_layer(sample, k, work), neumann_trace_matrix(sample, k, work)
@@ -200,7 +193,7 @@ def _trace_ratio(sample: CurveSample, k: complex, classes, work=None) -> linalg.
 
 
 class HelmholtzNep:
-    """Callable z -> M(z), a linalg.BlockDiag in the sample's class basis, for a
+    """Callable z -> M(z), a linalg.BlockDiag in the sample's class coordinates, for a
     fixed curve sample and material parameters.
 
     Memoizes the trace-ratio matrices P(k) per wavenumber (the dominant cost:
@@ -255,7 +248,7 @@ class HelmholtzNep:
         z = _check_wavenumber(z)
         p = self.params
         P_w, P_v = self._ratio(z * p.sqrt_n), self._ratio(z)
-        M = linalg.BlockDiag((p.lam * w - v for w, v in zip(P_w.blocks, P_v.blocks)), P_v.basis)
+        M = linalg.BlockDiag(p.lam * w - v for w, v in zip(P_w.blocks, P_v.blocks))
         for block in M.blocks:
             block.flat[::len(block) + 1] -= p.eta
         return M

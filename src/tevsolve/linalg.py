@@ -12,7 +12,7 @@ release the GIL.
 
 A square matrix may also be a :class:`BlockDiag`, as bie's M(z) is: the four
 LU and SVD functions then work block by block, in one call each, and never
-form the dense matrix or its factors.
+form the dense matrix; only svd's singular vectors come back dense.
 """
 
 from __future__ import annotations
@@ -30,39 +30,24 @@ PIVOT_RTOL = 1.0e-14
 
 
 class BlockDiag:
-    """The matrix Q diag(blocks) Q^T, the blocks square and Q a real orthogonal
-    ``basis``, dense or sparse (None for the identity), whose columns run block
-    by block.  ``@`` and this module's functions act as on that matrix;
-    ``[:, j]`` is column ``order[j]`` of Q diag(blocks)."""
+    """The block-diagonal matrix diag(blocks), the blocks square: ``@`` splits its
+    operand's rows by block, and this module's functions work block by block."""
 
-    __array_ufunc__ = None  # so that ndarray @ BlockDiag calls __rmatmul__
-
-    def __init__(self, blocks, basis=None):
-        self.blocks, self.basis = tuple(blocks), basis
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
         self.shape = (sum(map(len, self.blocks)),) * 2
-        self.order = np.arange(self.shape[0])
 
     @property
     def T(self) -> "BlockDiag":
-        return BlockDiag((b.T for b in self.blocks), self.basis)
+        return BlockDiag(b.T for b in self.blocks)
 
     def _apply(self, fns, x) -> np.ndarray:
-        """Q [fn_b(y_b)]_b for Q^T x = [y_b]_b, split as the blocks' rows."""
-        y = x if self.basis is None else self.basis.T @ x
-        y = np.concatenate([fn(part) for fn, part in zip(
-            fns, np.split(y, np.cumsum(list(map(len, self.blocks)))[:-1]))])
-        return y if self.basis is None else self.basis @ y
+        """[fn_b(x_b)]_b for x = [x_b]_b, split as the blocks' rows."""
+        return np.concatenate([fn(part) for fn, part in zip(
+            fns, np.split(x, np.cumsum(list(map(len, self.blocks)))[:-1]))])
 
     def __matmul__(self, x):
         return self._apply([b.__matmul__ for b in self.blocks], x)
-
-    def __rmatmul__(self, y):
-        return (self.T @ y.T).T
-
-    def __getitem__(self, key) -> np.ndarray:
-        unit = np.zeros(self.shape[0])
-        unit[self.order[key[1]]] = 1.0
-        return self @ (unit if self.basis is None else self.basis @ unit)  # Q D Q^T Q e_c
 
 
 def _as_square(A) -> np.ndarray:
@@ -95,19 +80,19 @@ def lu_factor(A, pivot_rtol: float = PIVOT_RTOL):
     if small.size:
         i = int(small[0])
         raise SingularMatrix(i, float(diag[i]), float(tol))
-    return BlockDiag(lus, A.basis if isinstance(A, BlockDiag) else None), pivs
+    return BlockDiag(lus), pivs
 
 
 def lu_apply(factors, B, trans: int = 0):
     """Solve A X = B (trans=0) or A^T X = B (trans=1) from :func:`lu_factor`, also
-    on threads that share the factors; B may be a BlockDiag in A's basis."""
+    on threads that share the factors; B may be a BlockDiag with A's block sizes."""
     # scipy's getrs wrapper shifts the pivots in place around its call, so threads
     # that share one factorization would race on them: each call gets a copy
     lu, piv = factors
     solves = [partial(_sla.lu_solve, (f, p.copy()), trans=trans, check_finite=False)
               for f, p in zip(lu.blocks, piv)]
     if isinstance(B, BlockDiag):
-        return BlockDiag((solve(b) for solve, b in zip(solves, B.blocks)), lu.basis)
+        return BlockDiag(solve(b) for solve, b in zip(solves, B.blocks))
     return lu._apply(solves, B)
 
 
@@ -128,16 +113,16 @@ def svd(A):
     """Singular value decomposition A = U diag(S) V^H.
 
     Returns (U, S, V) with S descending and U, V having orthonormal columns; for a
-    BlockDiag, U and V are BlockDiags of the blocks' factors, and U[:, j] forms one.
+    BlockDiag, U and V are the dense block-diagonal matrices of the blocks' factors,
+    their columns in the order of S (stable, so equal values keep block order).
     """
     if not isinstance(A, BlockDiag):
         U, s, Vh = _svd(A)
         return U, s, Vh.conj().T
     Us, ss, Vhs = zip(*map(_svd, A.blocks))
-    U, W = BlockDiag(Us, A.basis), BlockDiag((v.conj().T for v in Vhs), A.basis)
     s = np.concatenate(ss)
-    U.order = W.order = np.argsort(-s, kind="stable")
-    return U, s[U.order], W
+    order = np.argsort(-s, kind="stable")
+    return _sla.block_diag(*Us)[:, order], s[order], _sla.block_diag(*Vhs).conj().T[:, order]
 
 
 def singular_values(A) -> np.ndarray:

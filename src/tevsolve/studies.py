@@ -386,7 +386,7 @@ def _rows_from_nep(eigs: list[NepEigenvalue]) -> list[SpectrumRow]:
     return [
         SpectrumRow(
             e.k.real, e.k.imag, e.multiplicity, e.residual, -1,
-            f"beyn:{e.contour.label()}" if e.contour else "beyn",
+            f"beyn:{e.contour.label()}",
         )
         for e in eigs
     ]

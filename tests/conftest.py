@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -32,11 +34,42 @@ def trace_ratios(monkeypatch):
     return built
 
 
+def _class_basis(s) -> np.ndarray:
+    """The orthonormal class basis Q of the mirror maps i -> -i and i -> N/2 - i
+    that map the sample's nodes onto their mirror images (y -> -y, x -> -x),
+    built from the maps alone: per character chi of the group G they generate,
+    the second map's sign varying slowest, one column sum_g chi(g) e_g(i),
+    normalised, for each node i that is the first of its orbit and where that
+    sum is not zero.  The identity for a curve with neither symmetry."""
+    n, i, (x, y) = s.n, np.arange(s.n), s.points.T
+    maps = [p for p, mirror in ((-i % n, (x, -y)), ((n // 2 - i) % n, (-x, y)))
+            if np.allclose(s.points[p], np.transpose(mirror), rtol=0, atol=1e-12)]
+    group = [i, *maps, *([maps[0][maps[1]]] if len(maps) == 2 else [])]
+    columns = []
+    for signs in itertools.product((1, -1), repeat=len(maps)):
+        chi = [1, *signs[::-1], *([signs[0] * signs[1]] if len(maps) == 2 else [])]
+        for rep in (j for j in range(n) if j == min(g[j] for g in group)):
+            v = np.zeros(n)
+            for c, g in zip(chi, group):
+                v[g[rep]] += c
+            if np.any(v):
+                columns.append(v / np.linalg.norm(v))
+    return np.array(columns).T
+
+
+@pytest.fixture
+def class_basis():
+    """Q of a sample (see _class_basis), a test-side reference that reads nothing
+    of :mod:`bie`: bie's blocks of a matrix A are the diagonal blocks of Q^T A Q."""
+    return _class_basis
+
+
 @pytest.fixture
 def node_matrix():
-    """The dense matrix, in the basis of the nodes, of a :class:`linalg.BlockDiag`
-    (Q diag(blocks) Q^T, Q the class basis), as bie's M(z) and trace ratios are."""
-    def dense(M: linalg.BlockDiag) -> np.ndarray:
-        D = sla.block_diag(*M.blocks)
-        return D if M.basis is None else M.basis @ D @ M.basis.T
+    """The dense matrix, in the basis of the sample's nodes, of a
+    :class:`linalg.BlockDiag` in its class coordinates (Q diag(blocks) Q^T), as
+    bie's M(z) and trace ratios are."""
+    def dense(s, M: linalg.BlockDiag) -> np.ndarray:
+        Q = _class_basis(s)
+        return Q @ sla.block_diag(*M.blocks) @ Q.T
     return dense

@@ -219,7 +219,7 @@ class TestSymmetricKernels:
                               (assemble_adjoint_double_layer(s, k), K)):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             P = linalg.solve_right(0.5 * np.eye(s.n) + K, S)
-            got = node_matrix(bie._trace_ratio(s, k, bie._mirror_classes(s)))
+            got = node_matrix(s, bie._trace_ratio(s, k, bie._mirror_classes(s)))
             assert np.max(np.abs(got - P)) <= 1e-13 * np.max(np.abs(P))
 
     @pytest.mark.parametrize("shape, n", INPUTS)
@@ -270,10 +270,10 @@ class TestSymmetricKernels:
 
 
 class TestAssembleM:
-    def test_circle_mode_eigenvalues_match_symbol(self):
+    def test_circle_mode_eigenvalues_match_symbol(self, node_matrix):
         s = sample(parse_shape("circle:r=1"), 256)
         k = 2.0
-        M = HelmholtzNep(s, EX34)(k)
+        M = node_matrix(s, HelmholtzNep(s, EX34)(k))
         for m in range(5):
             mode = np.exp(1j * m * s.t)
             ref = circle_mode_symbol(m, k, EX34)
@@ -289,7 +289,7 @@ class TestAssembleM:
         s = sample(parse_shape("circle:r=1"), 64)
         p = MaterialParams(n=1.0, eta=0.0, lam=1.0)
         M = HelmholtzNep(s, p)(1.7)
-        assert np.linalg.norm(node_matrix(M)) <= 1e-10
+        assert np.linalg.norm(node_matrix(s, M)) <= 1e-10
 
     def test_interior_resonance_detected(self):
         # k at the first Dirichlet wavenumber of the unit disk makes S_k singular
@@ -328,7 +328,7 @@ class TestHelmholtzNep:
             return linalg.solve_right(neumann_trace_matrix(s, k), assemble_single_layer(s, k))
 
         ref = EX34.lam * trace_ratio(z * EX34.sqrt_n) - trace_ratio(z) - EX34.eta * np.eye(s.n)
-        assert np.allclose(node_matrix(nep(z)), ref, atol=1e-13)
+        assert np.allclose(node_matrix(s, nep(z)), ref, atol=1e-13)
 
     def test_sample_tables_built_before_the_pool(self):
         # the pool's threads then only read them, and never build them twice
@@ -405,7 +405,7 @@ class TestHelmholtzNep:
         other = nep.with_params(MaterialParams(n=4.0, eta=-0.01, lam=3.0))
         assert other._ratios is nep._ratios
         # lam enters only as a scalar weight: M_lam3 - M_lam2 = P_w
-        d = node_matrix(other(1.5)) - node_matrix(nep(1.5))
+        d = node_matrix(s, other(1.5)) - node_matrix(s, nep(1.5))
         s1 = assemble_single_layer(s, 1.5 * EX34.sqrt_n)
         a1 = neumann_trace_matrix(s, 1.5 * EX34.sqrt_n)
         p_w = linalg.solve_right(a1, s1)
@@ -481,11 +481,12 @@ class TestWorkspaces:
 
 
 class _NodeBasisNep:
-    """M(z) in the basis of the nodes, from whole N x N trace ratios: the family
-    as it was before the class basis, for comparison."""
+    """Q^T M(z) Q, M(z) in the basis of the nodes from whole N x N trace ratios
+    (the family as it was before the class blocks) and Q the class basis, for
+    comparison in the coordinates that HelmholtzNep and its probe use."""
 
-    def __init__(self, s, params, ratios):
-        self.s, self.params, self.dim, self._ratios = s, params, s.n, ratios
+    def __init__(self, s, params, ratios, Q):
+        self.s, self.params, self.dim, self._ratios, self.Q = s, params, s.n, ratios, Q
 
     def _ratio(self, k):
         if k not in self._ratios:
@@ -495,7 +496,8 @@ class _NodeBasisNep:
 
     def __call__(self, z):
         p = self.params
-        return p.lam * self._ratio(z * p.sqrt_n) - self._ratio(z) - p.eta * np.eye(self.dim)
+        M = p.lam * self._ratio(z * p.sqrt_n) - self._ratio(z) - p.eta * np.eye(self.dim)
+        return self.Q.T @ M @ self.Q
 
 
 class TestClassBasis:
@@ -506,32 +508,31 @@ class TestClassBasis:
         ("circle:r=1", 32, [9, 8, 8, 7]),
         ("trig", 240, [240]),
     ])
-    def test_class_sizes(self, shape, n, sizes):
+    def test_class_sizes(self, shape, n, sizes, class_basis):
         # the mirror maps i -> -i and i -> N/2 - i: both for the ellipse and the
         # circle, the first for the kite, none for the asymmetric trig curve,
         # whose one block is M(z) itself
         s = TestSymmetricKernels._sample(shape, n)
-        classes, basis = bie._mirror_classes(s)
+        classes = bie._mirror_classes(s)
         M = HelmholtzNep(s, EX34)(1.3 + 0.2j)
-        assert [len(b) for b in M.blocks] == [len(c[0]) for c in classes] == sizes
-        assert (basis is None) == (M.basis is None) == (len(sizes) == 1)
-        if basis is not None:
-            basis = basis.toarray()
-            assert np.array_equal(M.basis.toarray(), basis)
+        assert [len(b) for b in M.blocks] == sizes
+        assert (classes is None) == (len(sizes) == 1)
+        Q = class_basis(s)
+        assert np.allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-15)
+        if classes is not None:
+            assert [flat.shape[1:] for flat, _ in classes] == [(m, m) for m in sizes]
             # the blocks are gathered from the first N/4 + 1 rows (N/2 + 1 for the kite)
-            assert max(max(c[0]) for c in classes) == n // len(sizes)
-            assert np.allclose(basis.T @ basis, np.eye(n), rtol=0, atol=1e-15)
+            assert max(flat.max() // n for flat, _ in classes) == n // len(sizes)
 
     @pytest.mark.parametrize("shape, n", [("ellipse:a=1,b=1.2", 240), ("ellipse:a=1,b=1.2", 122),
                                           ("kite", 120), ("circle:r=1", 32)])
-    def test_blocks_are_the_class_basis_form(self, shape, n):
+    def test_blocks_are_the_class_basis_form(self, shape, n, class_basis):
         # S_k and I/2 + K^T_k commute with the mirror maps bitwise, so Q^T A Q is
         # block diagonal: its blocks are the gathered ones, and the rest is the
         # rounding of the dense product, far below the blocks' own
         s = TestSymmetricKernels._sample(shape, n)
-        classes = bie._mirror_classes(s)
-        Q = classes[1].toarray()
-        entries = {2 ** -0.5, 1.0} if len(classes[0]) == 2 else {0.5, 2 ** -0.5}
+        classes, Q = bie._mirror_classes(s), class_basis(s)
+        entries = {2 ** -0.5, 1.0} if len(classes) == 2 else {0.5, 2 ** -0.5}
         assert set(np.round(np.abs(Q[Q != 0]), 15)) == {round(e, 15) for e in entries}
         for k in (1.3 + 0.2j, 2.7 - 0.15j):
             for A in (assemble_single_layer(s, k), neumann_trace_matrix(s, k)):
@@ -544,18 +545,19 @@ class TestClassBasis:
                     row += m
                 assert np.max(np.abs(dense)) <= 1e-15 * np.max(np.abs(A))
 
-    def test_block_beyn_matches_node_basis_beyn(self):
-        # criterion 5's contour and probes, at N = 120: the class basis is
-        # orthogonal, so the moments' singular values, the rank and the reduced
-        # matrix are those of the node basis up to rounding, and so are the
-        # eigenvalues, doubles included
+    def test_block_beyn_matches_node_basis_beyn(self, class_basis):
+        # criterion 5's contour and probes, at N = 120: the node-basis family is
+        # rotated into the class coordinates, so both draw the same probe there,
+        # and the moments' singular values, the rank, the reduced matrix and the
+        # eigenvalues, doubles included, agree up to rounding
         s = sample(parse_shape("ellipse:a=1,b=1.2"), 120)
         contour, cfg = ContourSpec(2.5, 0.5, 24), BeynConfig(probe_columns=24)
         family, ratios = HelmholtzNep(s, MaterialParams(4.0, 1.0, 1.0)), {}
         for lam in (0.875, 1.0, 1.125):
             params = MaterialParams(4.0, 1.0, lam)
             got = beyn_solve(family.with_params(params), contour, cfg, jobs=2)
-            want = beyn_solve(_NodeBasisNep(s, params, ratios), contour, cfg, jobs=2)
+            want = beyn_solve(_NodeBasisNep(s, params, ratios, class_basis(s)), contour, cfg,
+                              jobs=2)
             assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
             assert len(got) >= 3
             assert max(abs(a.k - b.k) for a, b in zip(got, want)) <= 1e-10
